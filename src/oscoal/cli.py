@@ -35,21 +35,34 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: `figures --out` must not pass as `--outdir`
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _add_param_opts(parser):
-    parser.add_argument("--nu", type=float, default=1.0, help="oscillator inverse length")
-    parser.add_argument("--delta", type=float, default=None, help="wave-packet width")
-    parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--zeta", type=float, default=None,
-                        help="scale ratio 2*delta*nu (overrides --delta)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--verify", action="store_true",
-                        help="also run the quadrature oracle where available")
+_OPTIONS = {
+    "--nu": dict(type=float, default=1.0, help="oscillator inverse length"),
+    "--delta": dict(type=float, default=None, help="wave-packet width"),
+    "--hbar": dict(type=float, default=1.0),
+    "--zeta": dict(type=float, default=None,
+                   help="scale ratio 2*delta*nu (overrides --delta)"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(type=str, default=None, help="output path (default stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--verify": dict(action="store_true",
+                     help="also run the quadrature oracle where available"),
+}
+_PARAM_OPTS = ("--nu", "--delta", "--hbar", "--zeta")
+
+
+def _add_opts(parser, names):
+    """Register the shared options a subcommand reads, and only those."""
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def _resolve_params(args):
@@ -173,6 +186,8 @@ def cmd_coeff(args):
 
 
 def cmd_wigner(args):
+    if args.out is None:
+        raise _UsageError("wigner requires --out (grids are large)")
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "q"))
     grid = export_grid(args.k, args.l, axes["r"], axes["q"], thetas, params)
@@ -200,13 +215,13 @@ def cmd_wigner(args):
             print(f"verification failed: factorized dev {md:.3e}, oracle dev {md_oracle:.3e}",
                   file=sys.stderr)
             return EXIT_INVARIANT
-    if args.out is None:
-        raise _UsageError("wigner requires --out (grids are large)")
     write_wigner_grid(grid, args.out)
     return EXIT_OK
 
 
 def cmd_prob(args):
+    if args.out is None:
+        raise _UsageError("prob requires --out")
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "p"))
     if (args.k is None) != (args.l is None):
@@ -220,8 +235,6 @@ def cmd_prob(args):
                     rel = PhasePoint.from_invariants(r, p, th)
                     v, t = v_and_t(rel.r_vec, rel.p_vec, params)
                     rows.append((k, l, r, p, th, v, t, p_kl(k, l, rel, params)))
-    if args.out is None:
-        raise _UsageError("prob requires --out")
     if args.verify:
         from .coalescence import p_kl_oracle
 
@@ -361,7 +374,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="exact expansion coefficients")
-    _add_param_opts(p)
+    _add_opts(p, ("--out", "--format", "--verify"))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -369,21 +382,21 @@ def build_parser():
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("wigner", help="m-averaged Wigner distribution grid")
-    _add_param_opts(p)
+    _add_opts(p, _PARAM_OPTS + ("--out", "--verify"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--grid", type=str, default="r:0:4:400,q:0:4:400")
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("prob", help="coalescence probability tables")
-    _add_param_opts(p)
+    _add_opts(p, _PARAM_OPTS + ("--out", "--verify"))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--grid", type=str, default="r:0:3:31,p:0:3:31")
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("yields", help="ensemble yields from a particle list")
-    _add_param_opts(p)
+    _add_opts(p, ("--seed", "--out"))
     p.add_argument("--particles", type=str, required=True, help="particle CSV")
     p.add_argument("--params", type=str, required=True, help="params JSON sidecar")
     p.add_argument("--budget", type=int, default=1_000_000)
@@ -393,14 +406,13 @@ def build_parser():
     p.set_defaults(func=cmd_yields)
 
     p = sub.add_parser("figures", help="emit the data grids behind the figures")
-    _add_param_opts(p)
+    _add_opts(p, _PARAM_OPTS)
     p.add_argument("id", type=int, choices=(1, 2, 3))
     p.add_argument("--outdir", type=str, default=".")
     p.add_argument("--resolution", type=int, default=None)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    _add_param_opts(p)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 

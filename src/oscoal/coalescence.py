@@ -9,8 +9,16 @@ level factorizes over the cartesian axes,
     P_kl = sum_m sum_{t, t'} conj(C_{klm, t'}) C_{klm, t}
            P_{t1' t1}(r1, p1) P_{t2' t2}(r2, p2) P_{t3' t3}(r3, p3),
 
-with the 1-D quasi-probabilities of `ho1d`.  At matched scales (zeta = 1) the
-six levels with 2k + l <= 3 reduce to closed forms in the two invariants
+with the 1-D quasi-probabilities of `ho1d`.  Each of those has rank one,
+P_{n' n} = conj(g_{n'}) g_n, so the double sum collapses to squared level
+amplitudes,
+
+    P_kl = sum_m |A_m|^2,
+    A_m = sum_t C_{klm, t} g_{t1}(r1, p1) g_{t2}(r2, p2) g_{t3}(r3, p3),
+
+which makes P_kl >= 0 hold by construction and gives P_klm = |A_m|^2 for
+free.  At matched scales (zeta = 1) the six levels with 2k + l <= 3 reduce
+to closed forms in the two invariants
 
     v = nu^2 r^2 / 2 + p^2 / (2 hbar^2 nu^2),
     t = |r x p|^2 / hbar^2,
@@ -22,7 +30,7 @@ J; in the semi-classical limit J becomes a delta function.
 
 `p_kl_oracle` recomputes P_kl by Gauss-Hermite quadrature of the wave-packet
 overlap integrals against the closed-form 1-D Wigner functions, a route
-independent of the series-extraction quasi-probabilities.
+independent of the amplitude recurrence of `ho1d.quasi_amplitudes`.
 """
 
 import math
@@ -31,8 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expansion import bilinear_table, degenerate_subspace
-from .ho1d import quasi_prob_table, _wigner_poly
+from .expansion import _coeff_matrix, bilinear_assemble, bilinear_table
+from .ho1d import _wigner_poly, quasi_amplitudes
+from .ho1d import quasi_prob_table  # unused here; perfbench/spans.py wraps this name
 
 __all__ = [
     "WavePacket",
@@ -131,48 +140,38 @@ def shell_states(N):
     return [(k, N - 2 * k) for k in range(N // 2 + 1)]
 
 
-def _axis_tables(rel, params, nmax):
-    return [
-        quasi_prob_table(rel.r_vec[i], rel.p_vec[i], params, nmax) for i in range(3)
-    ]
+def _level_amplitudes(k, l, g):
+    """A[m + l, i] = sum_t C_{klm, t} g[t1, 0, i] g[t2, 1, i] g[t3, 2, i].
 
-
-def _assemble(table, triples, axis_tables):
-    total = 0j
-    t1, t2, t3 = axis_tables
-    for i, tp in enumerate(triples):
-        for j, t in enumerate(triples):
-            d = table[i, j]
-            if d == 0:
-                continue
-            total += d * t1[tp.n1, t.n1] * t2[tp.n2, t.n2] * t3[tp.n3, t.n3]
-    return total
+    `g` is the `quasi_amplitudes` array of shape (nmax+1, 3, n), the three
+    axes of n relative points; the level probabilities are |A|^2.  The sum
+    over t runs in a fixed order on elementwise products, without BLAS, so a
+    point's amplitude does not depend on which other points come with it.
+    """
+    triples, cmat = _coeff_matrix(k, l)
+    a = np.zeros((2 * l + 1,) + g.shape[2:], dtype=complex)
+    for j, t in enumerate(triples):
+        a += cmat[:, j, None] * (g[t.n1, 0] * g[t.n2, 1] * g[t.n3, 2])
+    return a
 
 
 def p_klm(k, l, m, rel, params):
     """m-resolved coalescence probability into the state (k, l, m)."""
-    from .expansion import Ame, coeff
-
-    N = 2 * k + l
-    triples = degenerate_subspace(N)
-    cvec = np.array([coeff(Ame(k, l, m), t).value for t in triples])
-    table = np.outer(np.conj(cvec), cvec)
-    return _assemble(table, triples, _axis_tables(rel, params, N)).real
+    if abs(m) > l:
+        raise ValueError(f"|m| must not exceed l, got l={l}, m={m}")
+    r = np.asarray(rel.r_vec, dtype=float)[:, None]
+    p = np.asarray(rel.p_vec, dtype=float)[:, None]
+    a = _level_amplitudes(k, l, quasi_amplitudes(r, p, params, 2 * k + l))[m + l, 0]
+    return float(a.real**2 + a.imag**2)
 
 
 def p_kl(k, l, rel, params):
     """Coalescence probability into the (k, l) level, summed over m.
 
-    Valid at any scale ratio zeta > 0; real up to roundoff and bounded by the
-    shell unitarity sum.
+    Valid at any scale ratio zeta > 0; nonnegative by construction and
+    bounded by the shell unitarity sum.
     """
-    return _p_kl_complex(k, l, rel, params).real
-
-
-def _p_kl_complex(k, l, rel, params):
-    N = 2 * k + l
-    triples, table = bilinear_table(k, l, m_averaged=False)
-    return _assemble(table, triples, _axis_tables(rel, params, N))
+    return float(p_kl_batch([(k, l)], [rel.r_vec], [rel.p_vec], params)[(k, l)][0])
 
 
 _CLOSED_P = {
@@ -213,31 +212,32 @@ def poisson_sum(N, rel, params):
     return sum(p_kl(k, l, rel, params) for k, l in shell_states(N))
 
 
+# Points per block of `p_kl_batch`: the temporaries of one block stay in cache
+# and the memory in use does not grow with the number of points.
+_BLOCK = 4096
+
+
 def p_kl_batch(levels, rel_r, rel_p, params):
     """Vectorized P_kl for many relative points at once.
 
     `levels` is an iterable of (k, l); rel_r and rel_p have shape (n, 3).
-    Returns {(k, l): ndarray of n probabilities}.  Same factorized assembly
-    as p_kl, with the per-axis quasi-probability tables evaluated on arrays.
+    Returns {(k, l): ndarray of n probabilities}, each the m-sum of the
+    squared level amplitudes built from the per-axis quasi-probability
+    amplitudes.
     """
     rel_r = np.asarray(rel_r, dtype=float)
     rel_p = np.asarray(rel_p, dtype=float)
     levels = list(levels)
     nmax = max(2 * k + l for k, l in levels)
-    tabs = [
-        quasi_prob_table(rel_r[:, i], rel_p[:, i], params, nmax) for i in range(3)
-    ]
-    out = {}
-    for k, l in levels:
-        triples, table = bilinear_table(k, l, m_averaged=False)
-        total = np.zeros(rel_r.shape[0], dtype=complex)
-        for i, tp in enumerate(triples):
-            for j, t in enumerate(triples):
-                d = table[i, j]
-                if d == 0:
-                    continue
-                total += d * tabs[0][tp.n1, t.n1] * tabs[1][tp.n2, t.n2] * tabs[2][tp.n3, t.n3]
-        out[(k, l)] = total.real
+    n = rel_r.shape[0]
+    out = {lv: np.zeros(n) for lv in levels}
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        g = quasi_amplitudes(rel_r[block].T, rel_p[block].T, params, nmax)
+        for k, l in levels:
+            total = out[(k, l)][block]
+            for a in _level_amplitudes(k, l, g):
+                total += a.real**2 + a.imag**2
     return out
 
 
@@ -268,7 +268,8 @@ def _quasi_prob_quad(n_prime, n, r_i, p_i, params, nodes=None):
     P_{n' n} = 2 e^{-r^2/(4 d^2) - 4 d^2 p^2/h^2} Int dx dq W_{n' n}(x, q)
                e^{-x^2/(4 d^2) + x r/(2 d^2)} e^{-4 d^2 q^2/h^2 + 8 d^2 q p/h^2};
     the Gaussians are completed to squares and the polynomial remainder is
-    integrated exactly by Gauss-Hermite.  Independent of the series route.
+    integrated exactly by Gauss-Hermite.  Independent of the amplitude
+    recurrence behind `quasi_prob`.
 
     Carries the phase convention of the transform-defined W_{n' n}, which is
     the conjugate of the quasi_prob convention for n' != n (see the ho1d
@@ -310,7 +311,7 @@ def p_kl_oracle(k, l, rel, params):
     The factorized expansion splits the 6-D integral into three 2-D
     integrals per term; each 2-D factor is evaluated with `_quasi_prob_quad`
     (closed-form Wigner functions under exact Gauss-Hermite quadrature)
-    instead of the generating-function series used by `p_kl`.
+    instead of the amplitude recurrence used by `p_kl`.
     """
     N = 2 * k + l
     triples, table = bilinear_table(k, l, m_averaged=False)
@@ -321,4 +322,4 @@ def p_kl_oracle(k, l, rel, params):
             for b in range(N + 1):
                 mat[a, b] = _quasi_prob_quad(a, b, rel.r_vec[i], rel.p_vec[i], params)
         axis.append(mat)
-    return _assemble(table, triples, axis).real
+    return bilinear_assemble(table, triples, *axis).real

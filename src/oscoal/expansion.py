@@ -48,6 +48,7 @@ __all__ = [
     "d_coeff",
     "d_coeff_reduced",
     "degenerate_subspace",
+    "bilinear_assemble",
     "bilinear_table",
     "norm_squared_exact",
     "overlap_s_part",
@@ -340,6 +341,17 @@ def bilinear_table(k, l, m_averaged=True):
         t = t / (2 * l + 1)
     t.setflags(write=False)
     return triples, t
+
+
+def bilinear_assemble(table, triples, m1, m2, m3):
+    """sum_{i, j} table[i, j] m1[t_i1, t_j1] m2[t_i2, t_j2] m3[t_i3, t_j3].
+
+    Contracts a bilinear table over `triples` (one energy shell) with three
+    per-axis 1-D matrices, e.g. mixed Wigner functions or quasi-probabilities.
+    """
+    n1, n2, n3 = np.array([tuple(t) for t in triples]).T
+    prod = m1[np.ix_(n1, n1)] * m2[np.ix_(n2, n2)] * m3[np.ix_(n3, n3)]
+    return complex(np.sum(table * prod))
 
 
 def d_coeff(k, l, triple, triple_prime):

@@ -20,13 +20,16 @@ alpha^{n'} beta^n times sqrt(n! n'!) is W_{n' n}.
 Overlapping a mixed Wigner function with two displaced Gaussian wave packets
 of common width delta gives the coalescence quasi-probabilities
 P_{n' n}(r, p) of the relative coordinate.  They depend on the scale ratio
-zeta = 2 delta nu and are extracted from a quadratic-exponent generating
-function by exact truncated power-series arithmetic in (alpha, beta); numerical
-differentiation is never used.  Note the opposite off-diagonal phase
-convention of the quasi-probabilities relative to W_{n' n}: the quasi-
-probability generating function is conventionally written with alpha and beta
-exchanged, and the closed forms below follow that convention.  Diagonal
-entries and all bilinear (Hermitian) combinations are unaffected.
+zeta = 2 delta nu and come from a quadratic-exponent generating function in
+(alpha, beta) whose exponent has no alpha beta term.  The table therefore has
+rank one, P_{n' n} = conj(g_{n'}) g_n: the relative state of two Gaussian
+packets is a pure squeezed coherent state with amplitudes g_n, which follow
+from a three-term recurrence; numerical differentiation is never used.  Note
+the opposite off-diagonal phase convention of the quasi-probabilities
+relative to W_{n' n}: the quasi-probability generating function is
+conventionally written with alpha and beta exchanged, and the closed forms
+below follow that convention.  Diagonal entries and all bilinear (Hermitian)
+combinations are unaffected.
 """
 
 import cmath
@@ -43,6 +46,7 @@ __all__ = [
     "phi_n",
     "wigner_1d",
     "wigner_1d_gen",
+    "quasi_amplitudes",
     "quasi_prob",
     "quasi_prob_table",
     "quasi_prob_zeta1",
@@ -153,110 +157,62 @@ def wigner_1d_gen(alpha, beta, ph, params):
     return cmath.exp(expo) / (math.pi * hbar)
 
 
-# ---------------------------------------------------------------------------
-# Truncated bivariate power series in (alpha, beta).  Coefficients may be
-# complex scalars or numpy arrays (the latter vectorizes grid evaluation).
+def quasi_amplitudes(r_i, p_i, params, nmax):
+    """Amplitudes g_n, n <= nmax, with P_{n' n}(r_i, p_i) = conj(g_{n'}) g_n.
 
-def _poly_mul(pa, pb, order):
-    out = {}
-    for (i, j), ca in pa.items():
-        for (k, l), cb in pb.items():
-            d = (i + k, j + l)
-            if d[0] + d[1] > order:
-                continue
-            prod = ca * cb
-            if d in out:
-                out[d] = out[d] + prod
-            else:
-                out[d] = prod
-    return out
+    Folding Gaussian wave packets of width delta into the Wigner generating
+    function gives a quadratic exponent whose alpha beta coefficient,
+    z^2/(1+z^2) + 1/(1+z^2) - 1, vanishes, so it splits as
+    const + conj(b) alpha + c alpha^2 + b beta + c beta^2 with
 
+        b = sqrt(2) (rho + i z^2 pi~)/(1+z^2),   c = (z^2 - 1)/(2 (1+z^2)),
+        const = -(rho^2 + z^2 pi~^2)/(1+z^2),   prefactor 2 z/(1+z^2),
 
-def _poly_exp(p, order):
-    """exp of a series with zero constant term, truncated at total `order`."""
-    if (0, 0) in p and np.any(p[(0, 0)] != 0):
-        raise ValueError("series exponential requires a zero constant term")
-    result = {(0, 0): 1.0 + 0j}
-    term = {(0, 0): 1.0 + 0j}
-    for k in range(1, order + 1):
-        term = _poly_mul(term, p, order)
-        if not term:
-            break
-        scale = 1.0 / k
-        term = {d: c * scale for d, c in term.items()}
-        for d, c in term.items():
-            result[d] = result.get(d, 0.0 + 0j) + c
-    return result
-
-
-def _quasi_gen_series(r_i, p_i, params, order):
-    """Constant factor and (alpha, beta) series of the quasi-probability
-    generating function, truncated at total degree `order`.
-
-    The exponent is the quadratic form obtained by folding Gaussian wave
-    packets of width delta into the Wigner generating function:
-
-        -alpha beta + [ (rho/z + z (alpha+beta)/sqrt(2))^2
-                        + (z^2 pi~ - i (alpha-beta)/sqrt(2))^2 ] / (1+z^2)
-        - rho^2/z^2 - z^2 pi~^2,
-
-    rho = nu r, pi~ = p/(nu hbar), z = zeta.  Its constant part is
-    -(rho^2 + z^2 pi~^2)/(1+z^2), the squared phase-space distance weighted by
-    the scale ratio; the prefactor is 2 z/(1+z^2).
+    rho = nu r, pi~ = p/(nu hbar), z = zeta.  The beta^n coefficients h_n of
+    exp(b beta + c beta^2) obey (n+1) h_{n+1} = b h_n + 2c h_{n-1}; the
+    recurrence runs on g_n = sqrt(prefactor e^const n!) h_n directly, so no
+    factorial is ever formed.  Scalar inputs give shape (nmax+1,), array
+    inputs append the broadcast shape.
     """
-    nu, hbar = params.nu, params.hbar
+    if nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {nmax}")
     z = params.zeta
-    rho = np.asarray(r_i, dtype=float) * nu
-    pit = np.asarray(p_i, dtype=float) / (nu * hbar)
-    s2 = 1.0 / math.sqrt(2.0)
-    p1 = {(0, 0): rho / z + 0j, (1, 0): z * s2 + 0j, (0, 1): z * s2 + 0j}
-    p2 = {(0, 0): z * z * pit + 0j, (1, 0): -1j * s2, (0, 1): 1j * s2}
-    quad = _poly_mul(p1, p1, order)
-    for d, c in _poly_mul(p2, p2, order).items():
-        quad[d] = quad.get(d, 0.0 + 0j) + c
-    scale = 1.0 / (1.0 + z * z)
-    expo = {d: c * scale for d, c in quad.items()}
-    expo[(1, 1)] = expo.get((1, 1), 0.0 + 0j) - 1.0
-    expo[(0, 0)] = expo.get((0, 0), 0.0 + 0j) - rho * rho / (z * z) - z * z * pit * pit
-    const = expo.pop((0, 0))
-    pref = 2.0 * z / (1.0 + z * z)
-    return pref * np.exp(const), _poly_exp(expo, order)
+    rho = np.asarray(r_i, dtype=float) * params.nu
+    pit = np.asarray(p_i, dtype=float) / (params.nu * params.hbar)
+    s = 1.0 + z * z
+    b = math.sqrt(2.0) * (rho + 1j * z * z * pit) / s
+    c2 = (z * z - 1.0) / s
+    g = np.empty((nmax + 1,) + b.shape, dtype=complex)
+    g[0] = np.sqrt(2.0 * z / s * np.exp(-(rho * rho + z * z * pit * pit) / s))
+    if nmax >= 1:
+        g[1] = b * g[0]
+    for n in range(1, nmax):
+        g[n + 1] = (b * g[n] + c2 * math.sqrt(n) * g[n - 1]) / math.sqrt(n + 1)
+    return g
 
 
 def quasi_prob_table(r_i, p_i, params, nmax):
     """All quasi-probabilities P_{n' n} with n', n <= nmax at once.
 
-    Returns a complex array T with T[n', n] = P_{n' n}(r_i, p_i); scalar
-    inputs give a (nmax+1, nmax+1) table, array inputs append the broadcast
-    shape.  Used by the 3-D coalescence assembly, which needs whole shells.
+    Returns a complex array T with T[n', n] = P_{n' n}(r_i, p_i), the outer
+    product conj(g_{n'}) g_n of `quasi_amplitudes`; scalar inputs give a
+    (nmax+1, nmax+1) table, array inputs append the broadcast shape.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
-    base, series = _quasi_gen_series(r_i, p_i, params, 2 * nmax)
-    shape = np.shape(base)
-    table = np.zeros((nmax + 1, nmax + 1) + shape, dtype=complex)
-    for (i, j), c in series.items():
-        if i <= nmax and j <= nmax:
-            table[i, j] = c
-    for i in range(nmax + 1):
-        for j in range(nmax + 1):
-            table[i, j] *= math.sqrt(math.factorial(i) * math.factorial(j)) * base
-    return table
+    g = quasi_amplitudes(r_i, p_i, params, nmax)
+    return np.conj(g)[:, None] * g[None, :]
 
 
 def quasi_prob(n_prime, n, r_i, p_i, params):
     """Coalescence quasi-probability P_{n' n}(r_i, p_i) at any zeta > 0.
 
-    sqrt(n! n'!) times the alpha^{n'} beta^n Taylor coefficient of the
-    generating function, extracted by exact truncated series exponentiation.
+    conj(g_{n'}) g_n of the rank-one factorization in `quasi_amplitudes`.
     Diagonal entries are real coalescence probabilities; P_{n' n} =
     conj(P_{n n'}).
     """
     if n_prime < 0 or n < 0:
         raise ValueError("state labels must be nonnegative")
-    base, series = _quasi_gen_series(r_i, p_i, params, n_prime + n)
-    c = series.get((n_prime, n), 0.0 + 0j)
-    out = c * math.sqrt(math.factorial(n) * math.factorial(n_prime)) * base
+    g = quasi_amplitudes(r_i, p_i, params, max(n_prime, n))
+    out = np.conj(g[n_prime]) * g[n]
     if np.ndim(out) == 0:
         return complex(out)
     return out

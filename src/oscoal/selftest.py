@@ -268,7 +268,7 @@ def _check_wigner1d():
 def _check_quasi_probabilities():
     rng = np.random.default_rng(2718)
     md = 0.0
-    # series vs closed form at zeta = 1
+    # recurrence vs closed form at zeta = 1
     params1 = OscParams(nu=1.0, delta=0.5)
     for npr in range(5):
         for n in range(5):

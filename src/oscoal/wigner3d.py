@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expansion import Ame, bilinear_table, d_coeff_reduced, degenerate_subspace
+from .expansion import Ame, bilinear_assemble, bilinear_table, d_coeff_reduced, degenerate_subspace
 from .ho1d import Phase1D, wigner_1d
 from .specfun import GaussianRational, assoc_laguerre, double_factorial, spherical_harmonic
 
@@ -138,17 +138,6 @@ def _wigner_1d_matrix(nmax, x, q, params):
     return mat
 
 
-def _assemble_bilinear(table, triples, w1, w2, w3):
-    total = 0j
-    for i, tp in enumerate(triples):
-        for j, t in enumerate(triples):
-            d = table[i, j]
-            if d == 0:
-                continue
-            total += d * w1[tp.n1, t.n1] * w2[tp.n2, t.n2] * w3[tp.n3, t.n3]
-    return total
-
-
 def wigner_klm(state, pt, params):
     """m-resolved Wigner distribution W_klm at one phase-space point.
 
@@ -165,7 +154,7 @@ def wigner_klm(state, pt, params):
     mats = [
         _wigner_1d_matrix(N, pt.r_vec[i], pt.q_vec[i], params) for i in range(3)
     ]
-    return complex(_assemble_bilinear(table, triples, *mats))
+    return bilinear_assemble(table, triples, *mats)
 
 
 def wigner_kl(k, l, pt, params):
@@ -179,7 +168,7 @@ def _wigner_kl_complex(k, l, pt, params):
     mats = [
         _wigner_1d_matrix(N, pt.r_vec[i], pt.q_vec[i], params) for i in range(3)
     ]
-    return complex(_assemble_bilinear(table, triples, *mats))
+    return bilinear_assemble(table, triples, *mats)
 
 
 # ---------------------------------------------------------------------------

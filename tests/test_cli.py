@@ -13,6 +13,10 @@ def run(args):
     return main(args)
 
 
+def _must_not_compute(*args, **kwargs):
+    raise RuntimeError("usage errors must be raised before any compute")
+
+
 class TestGridSpec:
     def test_full_spec(self):
         axes, thetas = parse_grid_spec("r:0:2:5,q:0:4:9,theta:0,0.5,1.0")
@@ -96,7 +100,8 @@ class TestWignerCommand:
         q = header["axes"]["q"][11]
         assert values[7, 11, 0] == wigner_kl_closed(0, 1, r * r, q * q, r * q, p)
 
-    def test_requires_out(self):
+    def test_requires_out(self, monkeypatch):
+        monkeypatch.setattr("oscoal.cli.export_grid", _must_not_compute)
         assert run(["wigner", "--k", "0", "--l", "0"]) == EXIT_USAGE
 
     def test_verify_gate(self, tmp_path):
@@ -138,6 +143,10 @@ class TestProbCommand:
              "--grid", "r:0:2:4,p:0:2:4,theta:0,0.9", "--out", str(out)]
         )
         assert code == EXIT_OK and out.exists()
+
+    def test_requires_out(self, monkeypatch):
+        monkeypatch.setattr("oscoal.cli.p_kl", _must_not_compute)
+        assert run(["prob", "--k", "0", "--l", "0"]) == EXIT_USAGE
 
 
 class TestYieldsCommand:
@@ -233,3 +242,25 @@ class TestParamHandling:
              "--grid", "r:0:1:3,p:0:1:3,theta:0", "--out", str(out)]
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["yields", "--particles", "p.csv", "--params", "p.json", "--zeta", "2.0"],
+            ["yields", "--particles", "p.csv", "--params", "p.json", "--format", "csv"],
+            ["selftest", "--seed", "3"],
+            ["coeff", "--N", "1", "--nu", "2.0"],
+            ["coeff", "--N", "1", "--seed", "3"],
+            ["prob", "--format", "csv", "--out", "p.dat"],
+            ["wigner", "--k", "0", "--l", "0", "--seed", "3", "--out", "w.dat"],
+            ["figures", "1", "--out", "figs"],
+            ["figures", "1", "--verify"],
+        ],
+        ids=["yields-physics", "yields-format", "selftest-any", "coeff-physics",
+             "coeff-seed", "prob-format", "wigner-seed", "figures-out", "figures-verify"],
+    )
+    def test_unread_options_rejected(self, argv, monkeypatch):
+        for name in ("p_kl", "export_grid", "pair_yields", "_figure1", "_coeff_rows"):
+            monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
+        monkeypatch.setattr("oscoal.selftest.run_selftest", _must_not_compute)
+        assert run(argv) == EXIT_USAGE

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
+from oscoal import coalescence
 from oscoal.coalescence import (
     PhasePoint,
     WavePacket,
@@ -18,7 +19,8 @@ from oscoal.coalescence import (
     shell_states,
     v_and_t,
 )
-from oscoal.ho1d import OscParams
+from oscoal.expansion import bilinear_assemble, bilinear_table
+from oscoal.ho1d import OscParams, quasi_prob_table
 
 LEVELS_N3 = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
 
@@ -105,6 +107,12 @@ class TestPKl:
         p = OscParams.from_zeta(1.0, 2.0)
         rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
         assert p_kl(1, 1, rel, p) == pytest.approx(p_kl_oracle(1, 1, rel, p), abs=1e-7)
+        # every level of the shells N = 4, 5, one point per zeta
+        for z in (0.5, 2.0):
+            p = OscParams.from_zeta(1.0, z)
+            rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+            for k, l in shell_states(4) + shell_states(5):
+                assert p_kl(k, l, rel, p) == pytest.approx(p_kl_oracle(k, l, rel, p), abs=1e-7)
 
     def test_rotation_invariance(self, params, rng):
         for k, l in ((0, 2), (1, 1)):
@@ -130,10 +138,21 @@ class TestPKl:
             assert float(np.min(probs[(k, l)])) >= -1e-12
 
     def test_imaginary_residue_small(self, params, rng):
-        from oscoal.coalescence import _p_kl_complex
-
         rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
-        assert abs(_p_kl_complex(1, 1, rel, params).imag) < 1e-12
+        triples, table = bilinear_table(1, 1, m_averaged=False)
+        mats = [quasi_prob_table(rel.r_vec[i], rel.p_vec[i], params, 3) for i in range(3)]
+        total = bilinear_assemble(table, triples, *mats)
+        assert abs(total.imag) < 1e-12
+        assert total.real == pytest.approx(p_kl(1, 1, rel, params), abs=1e-14)
+
+    def test_m_resolved_levels_sum_to_p_kl(self, rng):
+        p = OscParams.from_zeta(1.0, 2.0)
+        rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+        for N in range(6):
+            for k, l in shell_states(N):
+                parts = [p_klm(k, l, m, rel, p) for m in range(-l, l + 1)]
+                assert min(parts) >= 0
+                assert sum(parts) == pytest.approx(p_kl(k, l, rel, p), abs=1e-14)
 
     def test_batch_matches_scalar(self, params, rng):
         rel_r = rng.uniform(-1, 1, (6, 3))
@@ -143,6 +162,19 @@ class TestPKl:
             for i in range(6):
                 rel = PhasePoint(tuple(rel_r[i]), tuple(rel_p[i]))
                 assert batch[(k, l)][i] == pytest.approx(p_kl(k, l, rel, params), abs=1e-14)
+
+    def test_batch_value_independent_of_neighbours(self, rng):
+        # Several blocks plus a one-point tail, and a level with 2l + 1 > 8
+        # terms in the m-sum: each point's value is bitwise its own.
+        p = OscParams.from_zeta(1.0, 2.0)
+        levels = ((0, 0), (1, 1), (0, 5))
+        rel_r = rng.uniform(-2, 2, (2 * coalescence._BLOCK + 1, 3))
+        rel_p = rng.uniform(-2, 2, rel_r.shape)
+        batch = p_kl_batch(levels, rel_r, rel_p, p)
+        for i in (0, coalescence._BLOCK - 1, coalescence._BLOCK, rel_r.shape[0] - 1):
+            alone = p_kl_batch(levels, rel_r[i : i + 1], rel_p[i : i + 1], p)
+            for lv in levels:
+                assert batch[lv][i] == alone[lv][0]
 
 
 class TestClosedForms:

@@ -9,6 +9,7 @@ from oscoal.ho1d import (
     OscParams,
     Phase1D,
     phi_n,
+    quasi_amplitudes,
     quasi_prob,
     quasi_prob_table,
     quasi_prob_zeta1,
@@ -223,6 +224,17 @@ class TestQuasiProb:
                 tab = quasi_prob_table(R, P, p, n)[n, n].real
                 total = float(np.sum(np.outer(w, w) * e * tab)) * hbar * s * s / z
                 assert total == pytest.approx(2 * math.pi * hbar, abs=1e-8)
+
+    def test_completeness(self, rng):
+        # sum_n P_nn = sum_n |g_n|^2 -> 1: the relative state is normalized
+        for z in (0.3, 3.0):
+            p = OscParams.from_zeta(1.2, z, hbar=0.7)
+            r0, p0 = rng.uniform(-1.5, 1.5, (2, 4))
+            g = quasi_amplitudes(r0, p0, p, 60)
+            partial = np.cumsum(np.abs(g) ** 2, axis=0)
+            assert np.all(np.diff(partial, axis=0) >= 0)
+            assert np.all(partial <= 1 + 1e-12)
+            assert np.all(np.abs(partial[-1] - 1) <= 1e-4)
 
     def test_table_matches_scalar_calls(self, rng):
         p = OscParams.from_zeta(1.0, 1.7)
