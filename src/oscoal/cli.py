@@ -16,9 +16,10 @@ import numpy as np
 
 from . import __version__
 from .expansion import Ame, coeff, coeff_oracle, degenerate_subspace
-from .gridio import fmt17, write_prob_table, write_wigner_grid
+from .gridio import fmt17, write_prob_table, write_table, write_wigner_grid
 from .ho1d import OscParams, quasi_prob_table
-from .coalescence import PhasePoint, p_kl, shell_states, v_and_t
+from .coalescence import PhasePoint, p_kl_batch, shell_states, v_and_t
+from .coalescence import p_kl  # unused here; perfbench/spans.py wraps this name
 from .wigner3d import CLOSED_FORM_STATES, export_grid, level_crossings
 from .yields import MCConfig, channel_table, load_particles, pair_yields
 
@@ -94,13 +95,15 @@ def parse_grid_spec(spec, radial_names=("r", "q")):
         if tok.startswith("theta:"):
             vals = [tok[len("theta:"):]] + tokens[i + 1 :]
             thetas = np.array([float(v) for v in vals if v != ""])
+            if not len(thetas) or not np.all(np.isfinite(thetas)):
+                raise _UsageError(f"theta list must be nonempty and finite in {spec!r}")
             break
         name, *rest = tok.split(":")
-        if name not in radial_names or len(rest) != 3:
-            raise _UsageError(f"bad grid token {tok!r}")
+        if name not in radial_names or len(rest) != 3 or name in axes:
+            raise _UsageError(f"bad or repeated grid token {tok!r}")
         lo, hi = float(rest[0]), float(rest[1])
         n = int(rest[2])
-        if n < 2 or hi <= lo:
+        if n < 2 or not 0 < hi - lo < math.inf:
             raise _UsageError(f"bad grid range in {tok!r}")
         axes[name] = np.linspace(lo, hi, n)
         i += 1
@@ -109,6 +112,14 @@ def parse_grid_spec(spec, radial_names=("r", "q")):
     if thetas is None:
         thetas = np.array(DEFAULT_THETAS)
     return axes, thetas
+
+
+def _canonical_points(r, p, theta):
+    """(n, 3) r and p vectors of `PhasePoint.from_invariants`, bit for bit."""
+    cos = np.array([math.cos(th) for th in theta])
+    sin = np.array([math.sin(th) for th in theta])
+    zero = np.zeros(len(theta))
+    return np.column_stack([r, zero, zero]), np.column_stack([p * cos, p * sin, zero])
 
 
 def _emit(text, out):
@@ -227,29 +238,43 @@ def cmd_prob(args):
     if (args.k is None) != (args.l is None):
         raise _UsageError("give both --k and --l, or neither for all N <= 3")
     levels = [(args.k, args.l)] if args.k is not None else list(CLOSED_FORM_STATES)
-    rows = []
-    for k, l in levels:
-        for r in axes["r"]:
-            for p in axes["p"]:
-                for th in thetas:
-                    rel = PhasePoint.from_invariants(r, p, th)
-                    v, t = v_and_t(rel.r_vec, rel.p_vec, params)
-                    rows.append((k, l, r, p, th, v, t, p_kl(k, l, rel, params)))
+    grid = [a.ravel() for a in np.meshgrid(axes["r"], axes["p"], thetas, indexing="ij")]
+    rel_r, rel_p = _canonical_points(*grid)
+    v, t = v_and_t(rel_r, rel_p, params)
+    probs = p_kl_batch(levels, rel_r, rel_p, params)
+    n = len(rel_r)
+    k_col, l_col = np.repeat(np.array(levels), n, axis=0).T
+    prob = np.concatenate([probs[lv] for lv in levels])
     if args.verify:
         from .coalescence import p_kl_oracle
 
         md = 0.0
-        for k, l, r, p, th, v, t, prob in rows[:: max(1, len(rows) // 12)]:
-            rel = PhasePoint.from_invariants(r, p, th)
-            md = max(md, abs(prob - p_kl_oracle(k, l, rel, params)))
+        for row in range(0, len(prob), max(1, len(prob) // 12)):
+            rel = PhasePoint(rel_r[row % n], rel_p[row % n])
+            md = max(md, abs(prob[row] - p_kl_oracle(*levels[row // n], rel, params)))
         if md > 1e-7:
             print(f"verification failed: oracle dev {md:.3e}", file=sys.stderr)
             return EXIT_INVARIANT
-    write_prob_table(rows, params, args.out, extra={"zeta": params.zeta})
+    points = [np.tile(c, len(levels)) for c in (*grid, v, t)]
+    write_prob_table([k_col, l_col, *points, prob], params, args.out, extra={"zeta": params.zeta})
     return EXIT_OK
 
 
+def _pf_edges(spec):
+    """Bin edges of a `--pf-bins lo:hi:nbins` spec; MCConfig checks the range."""
+    try:
+        lo, hi, n = spec.split(":")
+        return tuple(np.linspace(float(lo), float(hi), int(n) + 1))
+    except ValueError:
+        raise _UsageError(f"--pf-bins expects lo:hi:nbins, got {spec!r}") from None
+
+
 def cmd_yields(args):
+    if args.pf_bins is None and (args.smear or args.pf_axis is not None):
+        raise _UsageError("--smear and --pf-axis shape the spectrum; they need --pf-bins")
+    cfg = MCConfig(seed=args.seed, max_pairs=args.budget,
+                   pf_bins=None if args.pf_bins is None else _pf_edges(args.pf_bins),
+                   pf_axis=2 if args.pf_axis is None else args.pf_axis, smear=args.smear)
     params_file = json.loads(Path(args.params).read_text())
     nu = float(params_file["nu"])
     hbar = float(params_file.get("hbar", 1.0))
@@ -264,12 +289,6 @@ def cmd_yields(args):
     if len(species) != 2:
         raise _UsageError(f"need exactly two species, found {sorted(species)}")
     (tag1, list1), (tag2, list2) = sorted(species.items())
-    pf_bins = None
-    if args.pf_bins:
-        lo, hi, n = args.pf_bins.split(":")
-        pf_bins = tuple(np.linspace(float(lo), float(hi), int(n) + 1))
-    cfg = MCConfig(seed=args.seed, max_pairs=args.budget, pf_bins=pf_bins,
-                   pf_axis=args.pf_axis, smear=args.smear)
     report = pair_yields(list1, list2, channel_table(), params, cfg)
     _emit(json.dumps(report.to_json_dict(), sort_keys=True, indent=1), args.out)
     return EXIT_OK
@@ -289,10 +308,8 @@ def _figure1(outdir, params, resolution):
 
 def _figure2(outdir, params, resolution):
     paths = []
-    rho = np.linspace(0.0, 5.0, resolution)
-    pit = np.linspace(0.0, 5.0, resolution)
-    r_axis = rho / params.nu
-    p_axis = pit * params.nu * params.hbar
+    r_axis = np.linspace(0.0, 5.0, resolution) / params.nu
+    p_axis = np.linspace(0.0, 5.0, resolution) * params.nu * params.hbar
     R, P = np.meshgrid(r_axis, p_axis, indexing="ij")
     for n in (0, 1, 2):
         for zeta in (0.25, 1.0, 4.0):
@@ -300,24 +317,12 @@ def _figure2(outdir, params, resolution):
             vals = quasi_prob_table(R, P, pz, n)[n, n].real
             contour = level_crossings(r_axis, p_axis, vals, 0.2)
             path = Path(outdir) / f"fig2_p{n}{n}_zeta{zeta:g}.dat"
-            header = json.dumps(
-                {
-                    "type": "quasi_prob_grid",
-                    "n": n,
-                    "zeta": zeta,
-                    "params": {"nu": pz.nu, "delta": pz.delta, "hbar": pz.hbar},
-                    "axes": {"r": [fmt17(v) for v in r_axis],
-                             "p": [fmt17(v) for v in p_axis]},
-                    "contour_0p2": [[fmt17(x), fmt17(y)] for x, y in contour],
-                },
-                sort_keys=True, separators=(",", ":"),
-            )
-            with open(path, "w") as fh:
-                fh.write(header + "\n")
-                fh.write("r,p,P\n")
-                for i, r in enumerate(r_axis):
-                    for j, p in enumerate(p_axis):
-                        fh.write(f"{fmt17(r)},{fmt17(p)},{fmt17(vals[i, j])}\n")
+            header = {"type": "quasi_prob_grid", "n": n, "zeta": zeta,
+                      "params": {"nu": pz.nu, "delta": pz.delta, "hbar": pz.hbar},
+                      "axes": {"r": [fmt17(v) for v in r_axis],
+                               "p": [fmt17(v) for v in p_axis]},
+                      "contour_0p2": [[fmt17(x), fmt17(y)] for x, y in contour]}
+            write_table(path, header, ("r", "p", "P"), [R.ravel(), P.ravel(), vals.ravel()])
             paths.append(path)
     return paths
 
@@ -327,34 +332,24 @@ def _figure3(outdir, params, resolution):
     r0 = 1.0 / params.nu
     p0 = params.hbar * params.nu
     path = Path(outdir) / "fig3_theta.dat"
-    header = json.dumps(
-        {
-            "type": "theta_scan",
-            "r": fmt17(r0),
-            "p": fmt17(p0),
-            "params": {"nu": params.nu, "delta": params.delta, "hbar": params.hbar},
-        },
-        sort_keys=True, separators=(",", ":"),
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write("theta,v,t,P03,P11\n")
-        for th in thetas:
-            rel = PhasePoint.from_invariants(r0, p0, th)
-            v, t = v_and_t(rel.r_vec, rel.p_vec, params)
-            fh.write(
-                f"{fmt17(th)},{fmt17(v)},{fmt17(t)},"
-                f"{fmt17(p_kl(0, 3, rel, params))},{fmt17(p_kl(1, 1, rel, params))}\n"
-            )
+    header = {"type": "theta_scan", "r": fmt17(r0), "p": fmt17(p0),
+              "params": {"nu": params.nu, "delta": params.delta, "hbar": params.hbar}}
+    rel_r, rel_p = _canonical_points(np.full(resolution, r0), np.full(resolution, p0), thetas)
+    v, t = v_and_t(rel_r, rel_p, params)
+    probs = p_kl_batch([(0, 3), (1, 1)], rel_r, rel_p, params)
+    write_table(path, header, ("theta", "v", "t", "P03", "P11"),
+                [thetas, v, t, probs[(0, 3)], probs[(1, 1)]])
     return [path]
 
 
 def cmd_figures(args):
+    if args.resolution is not None and args.resolution < 2:
+        raise _UsageError(f"--resolution must be at least 2, got {args.resolution}")
     params = _resolve_params(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fig = {1: _figure1, 2: _figure2, 3: _figure3}[args.id]
-    resolution = args.resolution if args.resolution else (400 if args.id != 3 else 181)
+    resolution = args.resolution or (400 if args.id != 3 else 181)
     paths = fig(outdir, params, resolution)
     for p in paths:
         print(p)
@@ -401,7 +396,8 @@ def build_parser():
     p.add_argument("--params", type=str, required=True, help="params JSON sidecar")
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--pf-bins", type=str, default=None, help="lo:hi:nbins")
-    p.add_argument("--pf-axis", type=int, default=2, choices=(0, 1, 2))
+    p.add_argument("--pf-axis", type=int, default=None, choices=(0, 1, 2),
+                   help="momentum axis of the spectrum (default 2)")
     p.add_argument("--smear", action="store_true", help="J-smeared spectra")
     p.set_defaults(func=cmd_yields)
 

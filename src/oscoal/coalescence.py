@@ -105,20 +105,26 @@ class PhasePoint:
 
 
 def v_and_t(rel_r, rel_p, params):
-    """Dimensionless invariants (v, t) of a relative phase-space point.
+    """Dimensionless invariants (v, t) of relative phase-space points.
 
     v = nu^2 r^2/2 + p^2/(2 hbar^2 nu^2) is the squared phase-space distance
     at matched scales; t = |r x p|^2 / hbar^2 is the squared classical
     relative angular momentum.  The cross product avoids the cancellation of
-    p^2 r^2 - (p.r)^2 for nearly parallel vectors, so t >= 0 always.
+    p^2 r^2 - (p.r)^2 for nearly parallel vectors, so t >= 0 always.  One
+    point of shape (3,) gives two floats, (n, 3) arrays give two arrays with
+    the same bits per point.
     """
     r = np.asarray(rel_r, dtype=float)
     p = np.asarray(rel_p, dtype=float)
     nu, hbar = params.nu, params.hbar
-    v = 0.5 * (nu**2 * float(r @ r) + float(p @ p) / (hbar * nu) ** 2)
-    cross = np.cross(r, p)
-    t = float(cross @ cross) / hbar**2
-    return v, t
+    v = 0.5 * (nu**2 * _norm2(r) + _norm2(p) / (hbar * nu) ** 2)
+    t = _norm2(np.cross(r, p)) / hbar**2
+    return (float(v), float(t)) if v.ndim == 0 else (v, t)
+
+
+def _norm2(x):
+    """Squared norms over the last axis, one dot product per point."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
 def j_overlap(p_i, p_f, delta, hbar=1.0):

@@ -14,9 +14,9 @@ natural units declared alongside (nu, delta, hbar); see `load_particles`.
 The pair loop enumerates the full cross product while it fits the budget and
 falls back to uniform random pair sampling beyond that; fixed seeds give
 bit-identical reports (numpy pairwise summation keeps the reduction order
-deterministic).  Channel yields within one (k, l) level are computed as
-integer multiples of a shared scaled base sum, so ratios fixed by the
-statistical weights (pi+ : rho+ = 1 : 3) hold exactly in floating point.
+deterministic).  Channel yields and spectra within one (k, l) level are
+integer multiples of a shared scaled base sum and base spectrum, so ratios
+fixed by the statistical weights (pi+ : rho+ = 1 : 3) hold exactly.
 """
 
 import csv
@@ -97,8 +97,9 @@ class MCConfig:
             raise ValueError(f"pf_axis must be 0, 1 or 2, got {self.pf_axis}")
         if self.pf_bins is not None:
             edges = tuple(float(e) for e in self.pf_bins)
-            if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ValueError("pf_bins must be at least two strictly increasing edges")
+            if (len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:]))
+                    or not all(map(math.isfinite, edges))):
+                raise ValueError("pf_bins must be at least two finite, strictly increasing edges")
             object.__setattr__(self, "pf_bins", edges)
 
 
@@ -248,10 +249,14 @@ def pair_yields(species1, species2, channels, params, mc_config):
     levels = sorted({(c.k, c.l) for c in channels})
     probs = p_kl_batch(levels, rel_r, rel_p, params)
 
-    # Channels of one level share a base sum scaled by a common denominator,
-    # so their yields are exact small-integer multiples of each other.
+    # Channels of one level share a base sum and a base spectrum scaled by a
+    # common denominator, so their yields and spectra are exact small-integer
+    # multiples of each other.
     report = {}
     spectra = {}
+    edges = mc_config.pf_bins
+    if edges is not None:
+        p_i = p1[i_idx, mc_config.pf_axis] + p2[j_idx, mc_config.pf_axis]
     by_level = {}
     for c in channels:
         by_level.setdefault((c.k, c.l), []).append(c)
@@ -265,19 +270,14 @@ def pair_yields(species1, species2, channels, params, mc_config):
             unit_err = scale * sd * math.sqrt(npairs) / common
         else:
             unit_err = 0.0
+        if edges is not None:
+            unit_dens = _deposit(np.asarray(edges), p_i, scale * contrib / common,
+                                 params, mc_config.smear)
         for c in chans:
             num = int(c.stat_weight * common)
             report[c.name] = ChannelYield(num * unit, num * unit_err)
-            if mc_config.pf_bins is not None:
-                p_i = (p1[i_idx] + p2[j_idx])[:, mc_config.pf_axis]
-                dens = _deposit(
-                    np.asarray(mc_config.pf_bins),
-                    p_i,
-                    scale * num * (contrib / common),
-                    params,
-                    mc_config.smear,
-                )
-                spectra[c.name] = {"edges": list(mc_config.pf_bins), "values": dens.tolist()}
+            if edges is not None:
+                spectra[c.name] = {"edges": list(edges), "values": (num * unit_dens).tolist()}
     ordered = {c.name: report[c.name] for c in channels}
     return YieldReport(
         channels=ordered,

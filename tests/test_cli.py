@@ -1,12 +1,18 @@
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oscoal.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_grid_spec
-from oscoal.gridio import read_prob_table, read_wigner_grid
+from oscoal.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid_spec
+from oscoal.gridio import read_prob_table, read_wigner_grid, write_table
+from oscoal.ho1d import OscParams
 from oscoal.selftest import REFERENCE_COEFFICIENTS
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(args):
@@ -32,8 +38,10 @@ class TestGridSpec:
     def test_bad_token(self):
         from oscoal.cli import _UsageError
 
-        with pytest.raises(_UsageError):
-            parse_grid_spec("x:0:1:3")
+        for spec in ("x:0:1:3", "theta:", "r:0:1:3,theta:", "theta:nan", "theta:0,inf",
+                     "r:0:1:3,r:0:2:3", "r:0:nan:3", "r:-inf:1:3", "r:1:1:3", "r:0:1:1"):
+            with pytest.raises(_UsageError):
+                parse_grid_spec(spec)
 
 
 class TestCoeffCommand:
@@ -81,6 +89,22 @@ class TestCoeffCommand:
         assert {(r["k"], r["l"], r["m"]) for r in rows} == {(0, 2, 2)}
 
 
+class TestTableFormat:
+    def test_readers_reject_wrong_columns(self, tmp_path):
+        path = tmp_path / "t.dat"
+        write_table(path, {"type": "x"}, ("a", "b"), [np.arange(3), np.linspace(0, 1, 3)])
+        assert path.read_text() == '{"type":"x"}\na,b\n0,0\n1,0.5\n2,1\n'
+        for reader, cols in ((read_prob_table, "k,l,r,p,theta,v,t,P"),
+                             (read_wigner_grid, "r,q,theta,W")):
+            with pytest.raises(ValueError, match="expected columns " + cols) as exc:
+                reader(path)
+            assert str(path) in str(exc.value)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.dat", {}, ("a", "b"), [[1.0, 2.0], [1.0]])
+
+
 class TestWignerCommand:
     def test_grid_round_trip(self, tmp_path):
         out = tmp_path / "w.dat"
@@ -114,21 +138,25 @@ class TestWignerCommand:
 
 
 class TestProbCommand:
-    def test_table_round_trip_and_values(self, tmp_path, params):
+    def test_table_round_trip_and_values(self, tmp_path):
         out = tmp_path / "p.dat"
         code = run(
-            ["prob", "--grid", "r:0:2:5,p:0:2:5,theta:0,1.5707963267948966", "--out", str(out)]
+            ["prob", "--zeta", "2.0", "--grid", "r:0:2:5,p:0:2:5,theta:0,1.5707963267948966",
+             "--out", str(out)]
         )
         assert code == EXIT_OK
         header, rows = read_prob_table(out)
-        assert header["zeta"] == 1.0
-        from oscoal.coalescence import PhasePoint, p_kl
+        assert header["zeta"] == 2.0
+        from oscoal.coalescence import PhasePoint, p_kl, v_and_t
 
+        params = OscParams.from_zeta(1.0, 2.0)
         seen_levels = {(k, l) for k, l, *_ in rows}
         assert seen_levels == {(0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1)}
-        for k, l, r, p, th, v, t, prob in rows[:40]:
+        assert len(rows) == 6 * 5 * 5 * 2
+        for k, l, r, p, th, v, t, prob in rows:
             rel = PhasePoint.from_invariants(r, p, th)
-            assert prob == pytest.approx(p_kl(k, l, rel, params), abs=1e-15)
+            assert prob == p_kl(k, l, rel, params)
+            assert (v, t) == v_and_t(rel.r_vec, rel.p_vec, params)
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
@@ -146,6 +174,7 @@ class TestProbCommand:
 
     def test_requires_out(self, monkeypatch):
         monkeypatch.setattr("oscoal.cli.p_kl", _must_not_compute)
+        monkeypatch.setattr("oscoal.cli.p_kl_batch", _must_not_compute)
         assert run(["prob", "--k", "0", "--l", "0"]) == EXIT_USAGE
 
 
@@ -183,6 +212,20 @@ class TestYieldsCommand:
         y = {c["name"]: c["yield"] for c in rep["channels"]}
         assert y["pi+"] == pytest.approx(1 / 36, abs=1e-16)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--budget", "0"], ["--pf-bins", "1:2"], ["--pf-bins", "a:b:c"], ["--pf-bins", "1:0:4"],
+         ["--pf-bins", "nan:1:4"], ["--pf-bins", "0:1:0"], ["--smear"], ["--pf-axis", "0"]],
+        ids=["budget", "pf-bins-short", "pf-bins-text", "pf-bins-reversed", "pf-bins-nan",
+             "pf-bins-empty", "smear-alone", "pf-axis-alone"],
+    )
+    def test_usage_errors_before_loading(self, extra, monkeypatch, capsys):
+        monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
+        argv = ["yields", "--particles", "p.csv", "--params", "p.json"] + extra
+        assert run(argv) == EXIT_USAGE
+        if extra == ["--pf-bins", "1:2"]:
+            assert "lo:hi:nbins" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         pjson = tmp_path / "params.json"
         pjson.write_text('{"nu": 1.0, "delta": 0.5}')
@@ -218,6 +261,31 @@ class TestFiguresCommand:
                 a = set(map(tuple, np.round(c4, 9)))
                 b = set(map(tuple, np.round(cq[:, ::-1], 9)))
                 assert a == b
+
+    @pytest.mark.parametrize("resolution", ["0", "1", "-3"])
+    def test_bad_resolution_before_outdir(self, resolution, tmp_path, monkeypatch):
+        monkeypatch.setattr("oscoal.cli._figure1", _must_not_compute)
+        outdir = tmp_path / "figs"
+        argv = ["figures", "1", "--outdir", str(outdir), "--resolution", resolution]
+        assert run(argv) == EXIT_USAGE
+        assert not outdir.exists()
+
+    def test_figure3_matches_p_kl(self, tmp_path, capsys):
+        from oscoal.coalescence import PhasePoint, p_kl, v_and_t
+
+        argv = ["figures", "3", "--outdir", str(tmp_path), "--resolution", "13",
+                "--zeta", "2.0", "--nu", "1.3"]
+        assert run(argv) == EXIT_OK
+        capsys.readouterr()
+        lines = (tmp_path / "fig3_theta.dat").read_text().splitlines()
+        header = json.loads(lines[0])
+        assert lines[1] == "theta,v,t,P03,P11" and len(lines) == 2 + 13
+        params = OscParams.from_zeta(1.3, 2.0)
+        for line in lines[2:]:
+            th, v, t, p03, p11 = map(float, line.split(","))
+            rel = PhasePoint.from_invariants(float(header["r"]), float(header["p"]), th)
+            assert (v, t) == v_and_t(rel.r_vec, rel.p_vec, params)
+            assert p03 == p_kl(0, 3, rel, params) and p11 == p_kl(1, 1, rel, params)
 
     def test_figure3_monotone(self, tmp_path, capsys):
         assert run(["figures", "3", "--outdir", str(tmp_path), "--resolution", "41"]) == EXIT_OK
@@ -260,7 +328,30 @@ class TestParamHandling:
              "coeff-seed", "prob-format", "wigner-seed", "figures-out", "figures-verify"],
     )
     def test_unread_options_rejected(self, argv, monkeypatch):
-        for name in ("p_kl", "export_grid", "pair_yields", "_figure1", "_coeff_rows"):
+        for name in ("p_kl", "p_kl_batch", "export_grid", "pair_yields", "_figure1",
+                     "_coeff_rows", "load_particles"):
             monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
         monkeypatch.setattr("oscoal.selftest.run_selftest", _must_not_compute)
         assert run(argv) == EXIT_USAGE
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    """The benchmark drives the CLI by argv and wraps names in its modules."""
+
+    def test_job_argv_parse(self):
+        workloads = _load_perfbench("workloads")
+        for job in workloads.JOBS.values():
+            argv = workloads.job_spec(job, seed=1).argv
+            assert build_parser().parse_args(argv).command == argv[0]
+
+    def test_wrapped_names_resolve(self):
+        spans = _load_perfbench("spans")
+        for module, attr, *_ in spans.WRAPPED:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)

@@ -45,6 +45,15 @@ class TestInvariants:
         assert v == pytest.approx(0.5 * (4 * 0.09) + 0.5 * 0.16 / (0.5 * 2.0) ** 2)
         assert t == pytest.approx((0.3 * 0.4) ** 2 / 0.25)
 
+    def test_arrays_match_single_points_bitwise(self, rng):
+        p = OscParams.from_zeta(1.3, 2.0, 0.7)
+        r_vecs, p_vecs = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+        v, t = v_and_t(r_vecs, p_vecs, p)
+        assert v.shape == t.shape == (50,)
+        single = [v_and_t(a, b, p) for a, b in zip(r_vecs, p_vecs)]
+        assert all(type(x) is float for pair in single for x in pair)
+        assert single == list(zip(v.tolist(), t.tolist()))
+
     def test_no_cancellation_near_parallel(self, params):
         r = (1.0, 0.0, 0.0)
         p = (1.0, 1e-9, 0.0)

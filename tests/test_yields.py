@@ -130,6 +130,15 @@ class TestPairYields:
         assert rep.channels["rho+"].value == 3 * rep.channels["pi+"].value
         assert rep.channels["rho(1450)+"].value == 3 * rep.channels["pi(1300)+"].value
         assert rep.channels["a1+"].value == 3 * rep.channels["a0+"].value
+        # spectra of one level are exact multiples too, sharp and smeared
+        for smear in (False, True):
+            cfg = MCConfig(seed=3, pf_bins=tuple(np.linspace(-3, 3, 25)), smear=smear)
+            sp = {name: np.array(s["values"])
+                  for name, s in pair_yields(us, ds, channel_table(), params, cfg).spectra.items()}
+            assert np.any(sp["pi+"] > 0)
+            assert np.array_equal(sp["rho+"], 3 * sp["pi+"])
+            assert np.array_equal(sp["rho(1450)+"], 3 * sp["pi(1300)+"])
+            assert np.array_equal(sp["b1+"], sp["a1+"])
 
     def test_determinism_bit_identical(self, params, rng):
         us, ds = random_ensembles(rng)
