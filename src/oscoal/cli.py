@@ -199,6 +199,10 @@ def cmd_coeff(args):
 def cmd_wigner(args):
     if args.out is None:
         raise _UsageError("wigner requires --out (grids are large)")
+    if args.k < 0 or args.l < 0:
+        raise _UsageError(f"--k and --l must be nonnegative, got {args.k} and {args.l}")
+    if 2 * args.k + args.l > 12:
+        raise _UsageError("shells limited to 2k + l <= 12")
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "q"))
     grid = export_grid(args.k, args.l, axes["r"], axes["q"], thetas, params)
@@ -233,10 +237,12 @@ def cmd_wigner(args):
 def cmd_prob(args):
     if args.out is None:
         raise _UsageError("prob requires --out")
-    params = _resolve_params(args)
-    axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "p"))
     if (args.k is None) != (args.l is None):
         raise _UsageError("give both --k and --l, or neither for all N <= 3")
+    if args.k is not None and (args.k < 0 or args.l < 0):
+        raise _UsageError(f"--k and --l must be nonnegative, got {args.k} and {args.l}")
+    params = _resolve_params(args)
+    axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "p"))
     levels = [(args.k, args.l)] if args.k is not None else list(CLOSED_FORM_STATES)
     grid = [a.ravel() for a in np.meshgrid(axes["r"], axes["p"], thetas, indexing="ij")]
     rel_r, rel_p = _canonical_points(*grid)

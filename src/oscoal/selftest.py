@@ -382,23 +382,13 @@ def _check_wigner3d_oracle():
             pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             md = max(md, abs(wigner3d.wigner_kl(k, l, pt, params)
                              - wigner3d.wigner_kl_oracle(k, l, pt, params)))
-    # normalization via exact Gauss-Hermite on the invariant polynomials
-    t, w = np.polynomial.hermite.hermgauss(6)
-    import itertools
-
-    md_norm = 0.0
-    for k, l in wigner3d.CLOSED_FORM_STATES:
-        poly = wigner3d.closed_form_poly(k, l)
-        total = 0.0
-        for idx in itertools.product(range(len(t)), repeat=6):
-            xi = np.array([t[idx[0]], t[idx[1]], t[idx[2]]])
-            eta = np.array([t[idx[3]], t[idx[4]], t[idx[5]]])
-            a, b = xi @ xi, eta @ eta
-            c = (xi @ eta) ** 2
-            pv = sum(float(cf) * a**i * b**j * c**h for (i, j, h), cf in poly.items())
-            total += math.prod(w[i] for i in idx) * pv
-        md_norm = max(md_norm, abs(total / math.pi**3 - 1.0))
-    ok = md <= 1e-8 and md_norm <= 1e-8
+    # normalization: the exact moment identity for the frozen tables and the
+    # derived N = 4 levels, the independent float quadrature for the tables
+    frozen = [wigner3d.closed_form_poly(k, l) for k, l in wigner3d.CLOSED_FORM_STATES]
+    derived = [wigner3d.derive_invariant_poly(k, l) for k, l in coalescence.shell_states(4)]
+    exact_ok = all(wigner3d._normalization_exact(p) == 1 for p in frozen + derived)
+    md_norm = max(abs(wigner3d._normalization_quadrature(p) - 1.0) for p in frozen)
+    ok = exact_ok and md <= 1e-8 and md_norm <= 1e-8
     return CheckResult("3-D Wigner transform oracle and normalization",
                        ok, max(md, md_norm), 1e-8)
 

@@ -14,11 +14,15 @@ nu r <-> q/(hbar nu); it depends on the point only through the invariants
 
 For each (k, l) the ratio W_kl / W_00 is a polynomial in (a, b, c) with
 rational coefficients.  `derive_invariant_poly` computes that polynomial in
-exact rational arithmetic straight from the factorized sum; the coefficient
-tables shipped in `wigner_kl_closed` were generated that way and the self
-test regenerates them on demand.  Two terms of the commonly tabulated
-printed forms for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu)
-mirror symmetry; the derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
+exact rational arithmetic from the factorized sum restricted to one
+canonical slice of phase space, where a triangular solve reads off the
+coefficients and expanding them back onto the slice checks every slice
+monomial.  The coefficient tables shipped in `wigner_kl_closed` were
+generated that way and the self test regenerates them on demand.  Their
+phase-space integral is 1 exactly, by a moment identity
+(`_normalization_exact`).  Two terms of the commonly tabulated printed forms
+for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu) mirror
+symmetry; the derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
 """
 
 import math
@@ -174,14 +178,6 @@ def _wigner_kl_complex(k, l, pt, params):
 # ---------------------------------------------------------------------------
 # Exact derivation of the invariant polynomials W_kl / W_00.
 
-def _laguerre_coeffs_exact(n, alpha):
-    """Coefficients of L_n^(alpha)(X) in X, exact, integer alpha >= 0."""
-    return [
-        Fraction((-1) ** i * math.comb(n + alpha, n - i), math.factorial(i))
-        for i in range(n + 1)
-    ]
-
-
 def _axis_poly(n_prime, n):
     """Radical-free polynomial of one axis factor, as {(e_xi, e_eta): GR}.
 
@@ -193,45 +189,21 @@ def _axis_poly(n_prime, n):
     d = hi - lo
     isign = -1 if n >= n_prime else 1
     # (xi + isign * i * eta)^d
-    lin = {}
-    for j in range(d + 1):
-        coef = GaussianRational.i_power(j) * Fraction(math.comb(d, j) * isign**j)
-        lin[(d - j, j)] = coef
-    # Laguerre in u, expanded into xi, eta monomials.
+    lin = {(d - j, j): GaussianRational.i_power(j) * Fraction(math.comb(d, j) * isign**j)
+           for j in range(d + 1)}
+    # the Laguerre polynomial in u, expanded into xi, eta monomials
     lag = {}
-    for i, ci in enumerate(_laguerre_coeffs_exact(lo, d)):
-        scale = ci * Fraction(2) ** i
+    for i in range(lo + 1):
+        scale = Fraction((-2) ** i * math.comb(lo + d, lo - i), math.factorial(i))
         for j in range(i + 1):
-            key = (2 * j, 2 * (i - j))
-            add = GaussianRational(scale * math.comb(i, j))
-            lag[key] = lag.get(key, GaussianRational(0)) + add
+            lag[(2 * j, 2 * (i - j))] = scale * math.comb(i, j)
     out = {}
     pref = Fraction((-1) ** lo * math.factorial(lo))
     for (e1, e2), c1 in lin.items():
         for (f1, f2), c2 in lag.items():
             key = (e1 + f1, e2 + f2)
-            add = c1 * c2 * pref
-            out[key] = out.get(key, GaussianRational(0)) + add
+            out[key] = out.get(key, GaussianRational(0)) + c1 * (c2 * pref)
     return out, d
-
-
-def _pair_poly6(triple, triple_prime):
-    """Product over axes of the radical-free polynomials, in six variables."""
-    polys = []
-    half = 0
-    for np_, n in zip(triple_prime, triple):
-        p, h = _axis_poly(np_, n)
-        polys.append(p)
-        half += h
-    out = {}
-    for (a1, a2), c1 in polys[0].items():
-        for (b1, b2), c2 in polys[1].items():
-            c12 = c1 * c2
-            for (c1_, c2_), c3 in polys[2].items():
-                key = (a1, a2, b1, b2, c1_, c2_)
-                add = c12 * c3
-                out[key] = out.get(key, GaussianRational(0)) + add
-    return out, half
 
 
 def _invariant_basis(N):
@@ -243,89 +215,73 @@ def _invariant_basis(N):
     ]
 
 
-def _solve_exact(rows, rhs, nunk):
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(nunk):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nunk:
-            break
-    if rank < nunk:
-        return None
-    for r in range(rank, len(aug)):
-        if any(x != 0 for x in aug[r]):
-            raise ArithmeticError("invariant ansatz is inconsistent with the factorized sum")
-    sol = [Fraction(0)] * nunk
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][-1]
-    return sol
+def _solve_on_slice(slice_poly, N):
+    """Invariant coefficients {(i, j, h): Fraction} of degree <= N from a slice.
+
+    `slice_poly` maps (e_x, e_y1, e_y2) to rationals on the slice
+    xi = (x, 0, 0), eta = (y1, y2, 0), where a^i b^j c^h =
+    sum_s C(j, s) x^{2(i+h)} y1^{2(h+s)} y2^{2(j-s)}.  The coefficient of
+    x^{2(i+h)} y1^{2h} y2^{2j} is sum_s C(j+s, s) coef(i+s, j+s, h-s), solved
+    in increasing h; the solution expanded back must equal the whole slice,
+    else ArithmeticError.
+    """
+    coef = {}
+    for i, j, h in _invariant_basis(N):
+        val = Fraction(slice_poly.get((2 * (i + h), 2 * h, 2 * j), 0))
+        for s in range(1, h + 1):
+            val -= math.comb(j + s, s) * coef[(i + s, j + s, h - s)]
+        coef[(i, j, h)] = val
+    back = {}
+    for (i, j, h), cf in coef.items():
+        for s in range(j + 1):
+            key = (2 * (i + h), 2 * (h + s), 2 * (j - s))
+            back[key] = back.get(key, 0) + math.comb(j, s) * cf
+    if {key: v for key, v in back.items() if v} != {key: v for key, v in slice_poly.items() if v}:
+        raise ArithmeticError("invariant ansatz is inconsistent with the factorized sum")
+    return {key: cf for key, cf in coef.items() if cf}
 
 
 @lru_cache(maxsize=None)
 def derive_invariant_poly(k, l):
     """Exact polynomial P with W_kl = W_00 * P(a, b, c).
 
-    Derived from the factorized bilinear sum in pure rational arithmetic:
-    the radical parts of the pairing coefficients cancel against the
-    factorial prefactors of the 1-D closed forms, leaving a Gaussian-rational
-    six-variable polynomial that is then matched exactly onto the rotation
-    invariants a, b, c.  Returns {(i, j, h): Fraction} for a^i b^j c^h.
+    The radical parts of the pairing coefficients cancel against the
+    factorial prefactors of the 1-D closed forms, so the factorized sum is a
+    Gaussian-rational polynomial in xi = nu r, eta = q/(hbar nu).  It is
+    built only on the slice xi = (x, 0, 0), eta = (y1, y2, 0), where axis 3
+    keeps its constant term (pairs with n3 = n3') and axis 2 its eta powers,
+    and matched onto the invariants by `_solve_on_slice`.  Returns
+    {(i, j, h): Fraction} for a^i b^j c^h, in `_invariant_basis` order.
     """
+    if k < 0 or l < 0:
+        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
     N = 2 * k + l
     triples = degenerate_subspace(N)
     total = {}
     for tp in triples:
         for t in triples:
+            if t.n3 != tp.n3:
+                continue
             w = d_coeff_reduced(k, l, t, tp)
             if not w:
                 continue
-            poly6, half = _pair_poly6(t, tp)
-            if half % 2 != 0:
+            ax1, h1 = _axis_poly(tp.n1, t.n1)
+            ax2, h2 = _axis_poly(tp.n2, t.n2)
+            if (h1 + h2) % 2 != 0:
                 raise ArithmeticError("odd half-power cannot appear inside a shell")
-            scale = Fraction(2) ** (half // 2)
-            for key, c in poly6.items():
-                add = c * w * scale
-                total[key] = total.get(key, GaussianRational(0)) + add
+            scale = w * _axis_poly(t.n3, t.n3)[0][(0, 0)] * Fraction(2) ** ((h1 + h2) // 2)
+            for (e1, f1), c1 in ax1.items():
+                for (e2, f2), c2 in ax2.items():
+                    if e2 == 0:
+                        key = (e1, f1, f2)
+                        total[key] = total.get(key, GaussianRational(0)) + c1 * c2 * scale
     clean = {}
     for key, c in total.items():
         if c.im != 0:
             raise ArithmeticError(f"nonreal monomial {key} in m-averaged distribution")
         if c.re != 0:
             clean[key] = c.re
-
-    basis = _invariant_basis(N)
-    import random
-
-    rng = random.Random(97531)
-    rows, rhs = [], []
-    needed = len(basis) + 8
-    while len(rows) < 3 * needed:
-        xi = [rng.randint(-3, 3) for _ in range(3)]
-        eta = [rng.randint(-3, 3) for _ in range(3)]
-        a = Fraction(sum(v * v for v in xi))
-        b = Fraction(sum(v * v for v in eta))
-        c = Fraction(sum(x * y for x, y in zip(xi, eta))) ** 2
-        rows.append([a**i * b**j * c**h for (i, j, h) in basis])
-        val = Fraction(0)
-        for (e1, e2, e3, e4, e5, e6), cf in clean.items():
-            val += cf * xi[0]**e1 * eta[0]**e2 * xi[1]**e3 * eta[1]**e4 * xi[2]**e5 * eta[2]**e6
-        rhs.append(val)
-    sol = _solve_exact(rows, rhs, len(basis))
-    if sol is None:
-        raise ArithmeticError("sample points failed to resolve the invariant basis")
-    return {key: c for key, c in zip(basis, sol) if c != 0}
+    return _solve_on_slice(clean, N)
 
 
 # Coefficient tables for W_kl / W_00 in the invariants (a, b, c), generated by
@@ -496,6 +452,39 @@ def wigner_kl_oracle(k, l, pt, params, nodes=24):
         wigner_klm_oracle(Ame(k, l, m), pt, params, nodes) for m in range(-l, l + 1)
     ]
     return sum(v.real for v in vals) / (2 * l + 1)
+
+
+# ---------------------------------------------------------------------------
+# Phase-space integral of W_00 * P(a, b, c), exact and by quadrature.
+
+def _normalization_exact(poly):
+    """Int d^3r d^3q W_00 P(a, b, c) as an exact Fraction (1 for every W_kl).
+
+    W_00 makes xi and eta independent N(0, I/2).  With eta = u xi/|xi| +
+    eta_perp, a^i b^j c^h = |xi|^{2(i+h)} u^{2h} (u^2 + |eta_perp|^2)^j, and
+    E|xi|^{2n} = (2n+1)!!/2^n, E u^{2n} = (2n-1)!!/2^n, E|eta_perp|^{2n} = n!.
+    """
+    def moment(n, shift):
+        return Fraction(double_factorial(2 * n + shift), 2**n)
+
+    total = Fraction(0)
+    for (i, j, h), cf in poly.items():
+        eta = sum(math.comb(j, s) * moment(h + s, -1) * math.factorial(j - s) for s in range(j + 1))
+        total += cf * moment(i + h, 1) * eta
+    return total
+
+
+def _normalization_quadrature(poly):
+    """The same integral in floats, by 6-node Gauss-Hermite quadrature.
+
+    Exact up to roundoff for degree <= 11 in each of the six reduced
+    variables, which covers every level with N <= 5.
+    """
+    tt, w3 = _gh_grid3(6)
+    a = np.sum(tt * tt, axis=1)
+    c = (tt @ tt.T) ** 2
+    vals = _eval_invariant_poly(poly, a[:, None], a[None, :], c)
+    return float(w3 @ vals @ w3) / math.pi**3
 
 
 # ---------------------------------------------------------------------------

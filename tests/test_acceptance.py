@@ -92,21 +92,10 @@ def test_04_wigner3d_consistency(params):
                 abs(wigner3d.wigner_kl(k, l, pt, params) - wigner3d.wigner_kl_oracle(k, l, pt, params)),
             )
     # normalization by exact quadrature of the invariant polynomials
-    import itertools
-
-    t, w = np.polynomial.hermite.hermgauss(6)
-    md_norm = 0.0
-    for k, l in CLOSED_FORM_STATES:
-        poly = wigner3d.closed_form_poly(k, l)
-        total = 0.0
-        for idx in itertools.product(range(len(t)), repeat=6):
-            xi = np.array([t[idx[0]], t[idx[1]], t[idx[2]]])
-            eta = np.array([t[idx[3]], t[idx[4]], t[idx[5]]])
-            a, b = xi @ xi, eta @ eta
-            c = (xi @ eta) ** 2
-            pv = sum(float(cf) * a**i * b**j * c**h for (i, j, h), cf in poly.items())
-            total += math.prod(w[i] for i in idx) * pv
-        md_norm = max(md_norm, abs(total / math.pi**3 - 1.0))
+    md_norm = max(
+        abs(wigner3d._normalization_quadrature(wigner3d.closed_form_poly(k, l)) - 1.0)
+        for k, l in CLOSED_FORM_STATES
+    )
     md_sym = 0.0
     for k, l in CLOSED_FORM_STATES:
         for _ in range(10):

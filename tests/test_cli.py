@@ -128,6 +128,19 @@ class TestWignerCommand:
         monkeypatch.setattr("oscoal.cli.export_grid", _must_not_compute)
         assert run(["wigner", "--k", "0", "--l", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "levels",
+        [["--k", "1", "--l", "-1", "--grid", "r:0:1:3,q:0:1:3,theta:0"], ["--k", "1", "--l", "-1"],
+         ["--k", "-1", "--l", "2"], ["--k", "0", "--l", "13"], ["--k", "6", "--l", "1"]],
+        ids=["negative-l-grid", "negative-l", "negative-k", "shell-13-by-l", "shell-13-by-k"],
+    )
+    def test_bad_levels_before_compute(self, levels, tmp_path, monkeypatch):
+        monkeypatch.setattr("oscoal.cli.parse_grid_spec", _must_not_compute)
+        monkeypatch.setattr("oscoal.cli.export_grid", _must_not_compute)
+        out = tmp_path / "w.dat"
+        assert run(["wigner", *levels, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_verify_gate(self, tmp_path):
         out = tmp_path / "w.dat"
         code = run(
@@ -171,6 +184,15 @@ class TestProbCommand:
              "--grid", "r:0:2:4,p:0:2:4,theta:0,0.9", "--out", str(out)]
         )
         assert code == EXIT_OK and out.exists()
+
+    @pytest.mark.parametrize("levels", [["--k", "1", "--l", "-1"], ["--k", "-1", "--l", "0"]],
+                             ids=["negative-l", "negative-k"])
+    def test_negative_levels_before_compute(self, levels, tmp_path, monkeypatch):
+        monkeypatch.setattr("oscoal.cli.parse_grid_spec", _must_not_compute)
+        monkeypatch.setattr("oscoal.cli.p_kl_batch", _must_not_compute)
+        out = tmp_path / "p.dat"
+        assert run(["prob", *levels, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_requires_out(self, monkeypatch):
         monkeypatch.setattr("oscoal.cli.p_kl", _must_not_compute)

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
+from oscoal.coalescence import shell_states
 from oscoal.expansion import Ame, coeff, degenerate_subspace
 from oscoal.gridio import read_wigner_grid, write_wigner_grid
 from oscoal.ho1d import OscParams, phi_n
@@ -13,6 +13,9 @@ from oscoal.wigner3d import (
     CLOSED_FORM_STATES,
     PhasePoint3D,
     REFERENCE_TABULATION,
+    _normalization_exact,
+    _normalization_quadrature,
+    _solve_on_slice,
     closed_form_poly,
     derive_invariant_poly,
     export_grid,
@@ -244,20 +247,81 @@ class TestSymmetries:
             assert direct == pytest.approx(averaged, abs=1e-12)
 
 
+class TestDerivation:
+    @pytest.mark.parametrize(
+        "k, l", [(0, 4), (1, 2), (2, 0), (0, 5), (1, 3), (2, 1), (1, 4)]
+    )
+    def test_matches_factorized_sum_in_full_space(self, k, l, rng):
+        # the derivation sees one slice of phase space; W_00 * P must equal
+        # the factorized W_kl at general points and at their rotated,
+        # reflected and nu r <-> q/(hbar nu) mirrored images
+        p = OscParams(nu=1.4, delta=0.3, hbar=0.8)
+        poly = derive_invariant_poly(k, l)
+        for _ in range(3):
+            rv, qv = rng.uniform(-1.0, 1.0, (2, 3))
+            a = p.nu**2 * (rv @ rv)
+            b = (qv @ qv) / (p.hbar * p.nu) ** 2
+            c = (rv @ qv) ** 2 / p.hbar**2
+            expected = (
+                math.exp(-a - b) / (math.pi**3 * p.hbar**3)
+                * sum(float(cf) * a**i * b**j * c**h for (i, j, h), cf in poly.items())
+            )
+            rot = random_rotation(rng)
+            refl = np.diag([1.0, 1.0, -1.0]) @ rot
+            scale = p.hbar * p.nu**2
+            for r_img, q_img in ((rv, qv), (rot @ rv, rot @ qv), (refl @ rv, refl @ qv),
+                                 (qv / scale, rv * scale)):
+                got = wigner_kl(k, l, PhasePoint3D(tuple(r_img), tuple(q_img)), p)
+                assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_slice_solve_rejects_inconsistent_slices(self):
+        # a lone x^2 y2^2 is a b - c, of degree 2 > N = 1; a lone y1^2 has
+        # its y1 exponent above its x exponent, so b would also carry y2^2;
+        # an odd exponent and a monomial above degree N are not read by the
+        # solve at all
+        for slice_poly, N in (
+            ({(2, 0, 2): F(1)}, 1),
+            ({(0, 2, 0): F(1)}, 4),
+            ({(0, 0, 0): F(1), (1, 0, 0): F(1)}, 2),
+            ({(0, 0, 0): F(1), (4, 0, 0): F(1)}, 1),
+        ):
+            with pytest.raises(ArithmeticError, match="inconsistent"):
+                _solve_on_slice(slice_poly, N)
+
+    def test_slice_solve_reads_invariants(self):
+        # W_01 / W_00 = -1 + 2/3 a + 2/3 b on the slice
+        slice_poly = {(0, 0, 0): F(-1), (2, 0, 0): F(2, 3), (0, 2, 0): F(2, 3), (0, 0, 2): F(2, 3)}
+        assert _solve_on_slice(slice_poly, 1) == closed_form_poly(0, 1)
+        # c = x^2 y1^2 alone is read as c, x^2 y2^2 alone as a b - c
+        assert _solve_on_slice({(2, 2, 0): F(5)}, 2) == {(0, 0, 1): F(5)}
+        assert _solve_on_slice({(2, 0, 2): F(1)}, 2) == {(0, 0, 1): F(-1), (1, 1, 0): F(1)}
+
+    def test_rejects_negative_quantum_numbers(self):
+        for k, l in ((1, -1), (-1, 2)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                derive_invariant_poly(k, l)
+
+
 class TestNormalization:
     def test_phase_space_integral_is_one(self):
-        t, w = np.polynomial.hermite.hermgauss(6)
         for k, l in CLOSED_FORM_STATES:
-            poly = closed_form_poly(k, l)
-            total = 0.0
-            for idx in itertools.product(range(len(t)), repeat=6):
-                xi = np.array([t[idx[0]], t[idx[1]], t[idx[2]]])
-                eta = np.array([t[idx[3]], t[idx[4]], t[idx[5]]])
-                a, b = xi @ xi, eta @ eta
-                c = (xi @ eta) ** 2
-                pv = sum(float(cf) * a**i * b**j * c**h for (i, j, h), cf in poly.items())
-                total += math.prod(w[i] for i in idx) * pv
-            assert total / math.pi**3 == pytest.approx(1.0, abs=1e-8)
+            assert _normalization_quadrature(closed_form_poly(k, l)) == pytest.approx(1.0, abs=1e-8)
+        for N in (4, 5):
+            for k, l in shell_states(N):
+                got = _normalization_quadrature(derive_invariant_poly(k, l))
+                assert got == pytest.approx(1.0, abs=1e-8)
+
+    def test_exact_integral_is_one(self):
+        for k, l in CLOSED_FORM_STATES:
+            assert _normalization_exact(closed_form_poly(k, l)) == 1
+        for N in (4, 5, 6):
+            for k, l in shell_states(N):
+                assert _normalization_exact(derive_invariant_poly(k, l)) == 1
+
+    def test_printed_11_tabulation_is_not_normalized(self):
+        printed = REFERENCE_TABULATION[(1, 1)]
+        assert _normalization_exact(printed) == F(85, 4)
+        assert _normalization_quadrature(printed) == pytest.approx(85 / 4, abs=1e-8)
 
 
 class TestExportGrid:
