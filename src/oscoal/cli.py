@@ -282,20 +282,22 @@ def cmd_yields(args):
                    pf_bins=None if args.pf_bins is None else _pf_edges(args.pf_bins),
                    pf_axis=2 if args.pf_axis is None else args.pf_axis, smear=args.smear)
     params_file = json.loads(Path(args.params).read_text())
+    required = ("nu",) if "zeta_override" in params_file else ("nu", "delta")
+    missing = [key for key in required if key not in params_file]
+    if missing:
+        raise _UsageError(f"params file {args.params} lacks {', '.join(map(repr, missing))}")
     nu = float(params_file["nu"])
     hbar = float(params_file.get("hbar", 1.0))
     if "zeta_override" in params_file:
         params = OscParams.from_zeta(nu, float(params_file["zeta_override"]), hbar)
     else:
         params = OscParams(nu=nu, delta=float(params_file["delta"]), hbar=hbar)
-    records = load_particles(args.particles)
-    species = {}
-    for rec in records:
-        species.setdefault(rec.species, []).append(rec)
-    if len(species) != 2:
-        raise _UsageError(f"need exactly two species, found {sorted(species)}")
-    (tag1, list1), (tag2, list2) = sorted(species.items())
-    report = pair_yields(list1, list2, channel_table(), params, cfg)
+    particles = load_particles(args.particles)
+    tags = np.unique(particles.species).tolist()
+    if len(tags) != 2:
+        raise _UsageError(f"need exactly two species, found {tags}")
+    report = pair_yields(particles.select(tags[0]), particles.select(tags[1]),
+                         channel_table(), params, cfg)
     _emit(json.dumps(report.to_json_dict(), sort_keys=True, indent=1), args.out)
     return EXIT_OK
 

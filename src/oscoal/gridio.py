@@ -17,7 +17,7 @@ __all__ = ["fmt17", "write_table", "write_wigner_grid", "read_wigner_grid",
 _WIGNER_COLUMNS = ("r", "q", "theta", "W")
 _PROB_COLUMNS = ("k", "l", "r", "p", "theta", "v", "t", "P")
 
-# Rows converted to Python numbers per write: bounds the memory they take.
+# Rows formatted per write: bounds the memory their text takes.
 _CHUNK = 65536
 
 
@@ -44,11 +44,25 @@ def write_table(path, payload, names, columns):
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         fh.write(",".join(names) + "\n")
-        row = ",".join("{:d}" if np.issubdtype(c.dtype, np.integer) else "{:.17g}"
-                       for c in columns) + "\n"
         for lo in range(0, len(columns[0]), _CHUNK):
-            chunk = zip(*(c[lo : lo + _CHUNK].tolist() for c in columns))
-            fh.writelines(row.format(*values) for values in chunk)
+            texts = [_column_text(c[lo : lo + _CHUNK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def _column_text(values):
+    """The printed text of each value, formatting each distinct value once.
+
+    Floats are told apart by their bit pattern, so -0.0 and 0.0 (and NaNs)
+    keep their own text.
+    """
+    if np.issubdtype(values.dtype, np.integer):
+        keys, spec = values, "d"
+    else:
+        values = np.ascontiguousarray(values, dtype=float)
+        keys, spec = values.view(np.int64), ".17g"
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([format(v, spec) for v in values[first].tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _read_table(path, names, parse_row):

@@ -174,14 +174,22 @@ def _hermite_explicit(n, u):
     return math.factorial(n) * total
 
 
-def _laguerre_explicit(n, two_alpha, u):
-    total = 0.0
+def _laguerre_coeffs(n, two_alpha):
+    """Float values of the exact coefficients C(n + alpha, n - i), i = 0..n."""
+    coeffs = []
     for i in range(n + 1):
         c = F(1)
         for j in range(n - i):
             c *= F(two_alpha, 2) + i + 1 + j
         c /= math.factorial(n - i)
-        total += float(c) * (-u) ** i / math.factorial(i)
+        coeffs.append(float(c))
+    return coeffs
+
+
+def _laguerre_explicit(coeffs, u):
+    total = 0.0
+    for i, c in enumerate(coeffs):
+        total += c * (-u) ** i / math.factorial(i)
     return total
 
 
@@ -191,11 +199,12 @@ def _check_special_functions():
     rng = np.random.default_rng(314)
     md = 0.0
     for n in range(11):
+        coeffs = {two_alpha: _laguerre_coeffs(n, two_alpha) for two_alpha in (-1, 0, 1, 2, 3)}
         for u in rng.uniform(-3, 3, 100):
             he = _hermite_explicit(n, u)
             md = max(md, abs(hermite(n, u) - he) / max(1.0, abs(he)))
             for two_alpha in (-1, 0, 1, 2, 3):
-                le = _laguerre_explicit(n, two_alpha, abs(u))
+                le = _laguerre_explicit(coeffs[two_alpha], abs(u))
                 md = max(
                     md,
                     abs(assoc_laguerre(n, two_alpha / 2.0, abs(u)) - le) / max(1.0, abs(le)),

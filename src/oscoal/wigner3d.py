@@ -508,28 +508,28 @@ def level_crossings(x_axis, y_axis, values, level=0.0):
     """Points where a 2-D grid crosses `level`, by edge interpolation.
 
     Scans both grid directions; returns an (n, 2) array of (x, y) points in a
-    deterministic order.
+    deterministic order: along x, for each cell (i, j) in row-major order,
+    the point of a zero at (i, j) and then the crossing towards (i + 1, j);
+    then the crossings along y in row-major order; then the zeros of the
+    last x row.
     """
     f = np.asarray(values, dtype=float) - level
-    pts = []
-    nx, ny = f.shape
-    for i in range(nx - 1):
-        for j in range(ny):
-            a, b = f[i, j], f[i + 1, j]
-            if a == 0.0:
-                pts.append((x_axis[i], y_axis[j]))
-            if a * b < 0.0:
-                s = a / (a - b)
-                pts.append((x_axis[i] + s * (x_axis[i + 1] - x_axis[i]), y_axis[j]))
-    for i in range(nx):
-        for j in range(ny - 1):
-            a, b = f[i, j], f[i, j + 1]
-            if a * b < 0.0:
-                s = a / (a - b)
-                pts.append((x_axis[i], y_axis[j] + s * (y_axis[j + 1] - y_axis[j])))
-    if np.any(f[-1, :] == 0.0):
-        pts.extend((x_axis[-1], y_axis[j]) for j in range(ny) if f[-1, j] == 0.0)
-    return np.array(pts, dtype=float).reshape(-1, 2)
+    x = np.asarray(x_axis, dtype=float)
+    y = np.asarray(y_axis, dtype=float)
+    a, b = f[:-1], f[1:]
+    i, j, crossing = np.nonzero(np.stack([a == 0.0, a * b < 0.0], axis=-1))
+    along_x = np.column_stack([x[i], y[j]])
+    c = crossing == 1
+    i, j = i[c], j[c]
+    s = a[i, j] / (a[i, j] - b[i, j])
+    along_x[c, 0] = x[i] + s * (x[i + 1] - x[i])
+    a, b = f[:, :-1], f[:, 1:]
+    i, j = np.nonzero(a * b < 0.0)
+    s = a[i, j] / (a[i, j] - b[i, j])
+    along_y = np.column_stack([x[i], y[j] + s * (y[j + 1] - y[j])])
+    (j,) = np.nonzero(f[-1] == 0.0)
+    last_row = np.column_stack([np.full(len(j), x[-1]), y[j]])
+    return np.concatenate([along_x, along_y, last_row]).reshape(-1, 2)
 
 
 def export_grid(k, l, r_axis, q_axis, theta_axis, params, node_level=0.0):

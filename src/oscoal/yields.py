@@ -31,6 +31,7 @@ from .coalescence import p_kl_batch
 
 __all__ = [
     "ParticleRecord",
+    "ParticleTable",
     "Channel",
     "MCConfig",
     "ChannelYield",
@@ -64,6 +65,32 @@ class ParticleRecord:
             raise ValueError(f"non-finite component in particle record {self}")
         if self.weight < 0:
             raise ValueError(f"weight must be nonnegative, got {self.weight}")
+
+
+@dataclass(frozen=True, eq=False)
+class ParticleTable:
+    """Particles column by column, in file order.
+
+    `species` holds the (n,) tags, `r` and `p` are (n, 3) and `weight` is
+    (n,).  Indexing returns one row as a `ParticleRecord`.
+    """
+
+    species: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self):
+        return len(self.weight)
+
+    def __getitem__(self, i):
+        return ParticleRecord(str(self.species[i]), self.r[i].tolist(), self.p[i].tolist(),
+                              float(self.weight[i]))
+
+    def select(self, tag):
+        """The rows of species `tag`, in file order."""
+        keep = self.species == tag
+        return ParticleTable(self.species[keep], self.r[keep], self.p[keep], self.weight[keep])
 
 
 @dataclass(frozen=True)
@@ -133,12 +160,13 @@ class YieldReport:
 
 
 def load_particles(source, known_species=KNOWN_SPECIES):
-    """Parse a particle CSV into records, validating every row.
+    """Parse a particle CSV into a `ParticleTable`, validating every row.
 
     `source` is a path or an open text stream.  Header must be
-    species,rx,ry,rz,px,py,pz with an optional trailing weight column.
-    Malformed or non-finite rows raise ValueError naming the line; species
-    outside `known_species` raise listing the known tags.
+    species,rx,ry,rz,px,py,pz with an optional trailing weight column, and
+    every nonblank row must have the header's number of fields.  Malformed
+    or non-finite rows raise ValueError naming the line; species outside
+    `known_species` raise listing the known tags.
     """
     if hasattr(source, "read"):
         return _parse_particles(source, known_species)
@@ -151,36 +179,54 @@ _HEADER = ["species", "rx", "ry", "rz", "px", "py", "pz"]
 
 def _parse_particles(fh, known_species):
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in next(reader, _HEADER)]
     if header[:7] != _HEADER or len(header) > 8 or (len(header) == 8 and header[7] != "weight"):
         raise ValueError(
             f"unexpected header {header}; expected species,rx,ry,rz,px,py,pz[,weight]"
         )
-    out = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+    width = len(header)
+    rows = list(reader)
+    table = _columns([row for row in rows if "".join(row).strip()], width, known_species)
+    if table is None:
+        raise _first_error(rows, width, known_species)
+    return table
+
+
+def _columns(rows, width, known_species):
+    """The table of nonblank `rows`, or None if any row fails a check."""
+    if any(len(row) != width for row in rows):
+        return None
+    tags = [row[0].strip() for row in rows]
+    if not set(tags) <= set(known_species):
+        return None
+    try:
+        nums = np.array([f for row in rows for f in row[1:]], dtype=float)
+    except ValueError:
+        return None
+    nums = nums.reshape(len(rows), width - 1)
+    weight = nums[:, 6] if width == 8 else np.ones(len(rows))
+    if not np.isfinite(nums).all() or np.any(weight < 0):
+        return None
+    return ParticleTable(np.array(tags, dtype=str), nums[:, 0:3], nums[:, 3:6], weight)
+
+
+def _first_error(rows, width, known_species):
+    """The ValueError, naming its line, of the first row that fails a check."""
+    for lineno, row in enumerate(rows, start=2):
+        if not "".join(row).strip():
             continue
-        if len(row) not in (7, 8):
-            raise ValueError(f"line {lineno}: expected 7 or 8 fields, got {len(row)}")
+        if len(row) != width:
+            return ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
         species = row[0].strip()
         if species not in known_species:
-            raise ValueError(
+            return ValueError(
                 f"line {lineno}: unknown species {species!r}; known: {', '.join(known_species)}"
             )
         try:
             nums = [float(c) for c in row[1:]]
+            ParticleRecord(species, nums[0:3], nums[3:6], nums[6] if width == 8 else 1.0)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        weight = nums[6] if len(nums) == 7 else 1.0
-        try:
-            out.append(ParticleRecord(species, tuple(nums[0:3]), tuple(nums[3:6]), weight))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return out
+            return ValueError(f"line {lineno}: {exc}")
 
 
 def channel_table():
@@ -203,16 +249,20 @@ def channel_table():
     ]
 
 
-def _species_arrays(records):
-    r = np.array([rec.r for rec in records], dtype=float)
-    p = np.array([rec.p for rec in records], dtype=float)
-    w = np.array([rec.weight for rec in records], dtype=float)
-    return r, p, w
+def _species_arrays(particles):
+    """Tags, r, p and weights of a `ParticleTable` or a list of `ParticleRecord`s."""
+    if isinstance(particles, ParticleTable):
+        return set(particles.species.tolist()), particles.r, particles.p, particles.weight
+    r = np.array([rec.r for rec in particles], dtype=float)
+    p = np.array([rec.p for rec in particles], dtype=float)
+    w = np.array([rec.weight for rec in particles], dtype=float)
+    return {rec.species for rec in particles}, r, p, w
 
 
 def pair_yields(species1, species2, channels, params, mc_config):
     """Channel yields from all (or sampled) cross-species pairs.
 
+    Each species is a `ParticleTable` or a list of `ParticleRecord`s.
     yield_c = scale * sum_pairs w1 w2 * stat_weight_c * P_{kl(c)}(rel pair),
     where scale corrects for pair sampling (1 for full enumeration).  The
     report also carries per-channel standard errors (zero when enumerating)
@@ -220,14 +270,12 @@ def pair_yields(species1, species2, channels, params, mc_config):
     """
     if not species1 or not species2:
         raise ValueError("both species lists must be nonempty")
-    tags1 = {rec.species for rec in species1}
-    tags2 = {rec.species for rec in species2}
+    tags1, r1, p1, w1 = _species_arrays(species1)
+    tags2, r2, p2, w2 = _species_arrays(species2)
     if tags1 & tags2:
         raise ValueError(f"species lists overlap in tags {sorted(tags1 & tags2)}")
     channels = list(channels)
-    r1, p1, w1 = _species_arrays(species1)
-    r2, p2, w2 = _species_arrays(species2)
-    n1, n2 = len(species1), len(species2)
+    n1, n2 = len(w1), len(w2)
     total_pairs = n1 * n2
 
     if total_pairs <= mc_config.max_pairs:
@@ -257,6 +305,7 @@ def pair_yields(species1, species2, channels, params, mc_config):
     edges = mc_config.pf_bins
     if edges is not None:
         p_i = p1[i_idx, mc_config.pf_axis] + p2[j_idx, mc_config.pf_axis]
+        deposit = _depositor(np.asarray(edges), p_i, params, mc_config.smear)
     by_level = {}
     for c in channels:
         by_level.setdefault((c.k, c.l), []).append(c)
@@ -271,8 +320,7 @@ def pair_yields(species1, species2, channels, params, mc_config):
         else:
             unit_err = 0.0
         if edges is not None:
-            unit_dens = _deposit(np.asarray(edges), p_i, scale * contrib / common,
-                                 params, mc_config.smear)
+            unit_dens = deposit(scale * contrib / common)
         for c in chans:
             num = int(c.stat_weight * common)
             report[c.name] = ChannelYield(num * unit, num * unit_err)
@@ -286,21 +334,29 @@ def pair_yields(species1, species2, channels, params, mc_config):
     )
 
 
-def _deposit(edges, centers, masses, params, smear):
-    """Distribute pair masses over momentum bins; returns densities dN/dP."""
+def _depositor(edges, centers, params, smear):
+    """The function taking per-pair masses to bin densities dN/dP.
+
+    How each pair at `centers` spreads over the bins is computed once, here,
+    and shared by every mass array the function is called with.
+    """
     widths = np.diff(edges)
     if smear:
         d, hbar = params.delta, params.hbar
         # per-axis marginal of J integrates to erf differences across edges
-        z = (edges[None, :] - centers[:, None]) * (d / hbar)
-        cdf = 0.5 * (1.0 + erf(z))
-        mass_in_bin = masses[:, None] * np.diff(cdf, axis=1)
-        return mass_in_bin.sum(axis=0) / widths
-    counts = np.zeros(len(widths))
+        cdf = 0.5 * (1.0 + erf((edges[None, :] - centers[:, None]) * (d / hbar)))
+        share = np.diff(cdf, axis=1)
+        return lambda masses: (masses[:, None] * share).sum(axis=0) / widths
     idx = np.searchsorted(edges, centers, side="right") - 1
     ok = (idx >= 0) & (idx < len(widths))
-    np.add.at(counts, idx[ok], masses[ok])
-    return counts / widths
+    idx = idx[ok]
+
+    def sharp(masses):
+        counts = np.zeros(len(widths))
+        np.add.at(counts, idx, masses[ok])
+        return counts / widths
+
+    return sharp
 
 
 def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
@@ -319,10 +375,9 @@ def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
     pairs = list(pairs)
     if not pairs:
         return edges, np.zeros(len(edges) - 1)
-    rel_r = np.array([[a - b for a, b in zip(p1.r, p2.r)] for p1, p2 in pairs])
-    rel_p = np.array([[0.5 * (a - b) for a, b in zip(p1.p, p2.p)] for p1, p2 in pairs])
-    w = np.array([p1.weight * p2.weight for p1, p2 in pairs])
-    probs = p_kl_batch([(channel.k, channel.l)], rel_r, rel_p, params)[(channel.k, channel.l)]
-    masses = w * float(channel.stat_weight) * probs
-    centers = np.array([p1.p[axis] + p2.p[axis] for p1, p2 in pairs])
-    return edges, _deposit(edges, centers, masses, params, smear)
+    _, r1, p1, w1 = _species_arrays([a for a, _ in pairs])
+    _, r2, p2, w2 = _species_arrays([b for _, b in pairs])
+    level = (channel.k, channel.l)
+    probs = p_kl_batch([level], r1 - r2, 0.5 * (p1 - p2), params)[level]
+    masses = w1 * w2 * float(channel.stat_weight) * probs
+    return edges, _depositor(edges, p1[:, axis] + p2[:, axis], params, smear)(masses)

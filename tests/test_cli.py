@@ -100,6 +100,31 @@ class TestTableFormat:
                 reader(path)
             assert str(path) in str(exc.value)
 
+    def test_bytes_match_per_value_formatting(self, tmp_path, rng):
+        from oscoal.gridio import _CHUNK
+
+        n = _CHUNK + 300
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, math.inf, -math.nan, 0.1, 1.0]
+        columns = [
+            np.tile(special, n // len(special) + 1)[:n],
+            np.arange(n) % 7 - 3,
+            rng.normal(size=n),
+            np.repeat(rng.normal(size=3), [n - 200, 150, 50]),
+            (np.arange(n, dtype=np.int32) // 5000) * -1,
+            rng.normal(size=n).astype(np.float32),
+        ]
+        names = ("a", "b", "c", "d", "e", "f")
+        path = tmp_path / "t.dat"
+        write_table(path, {"type": "x", "n": n}, names, columns)
+        lines = ['{"n":%d,"type":"x"}' % n, ",".join(names)]
+        for row in zip(*(c.tolist() for c in columns)):
+            lines.append(",".join(format(v, "d" if isinstance(v, int) else ".17g") for v in row))
+        written = path.read_text().split("\n")
+        assert written[-1] == "" and len(written) == len(lines) + 1
+        # the first differing line, not a diff of two 5 MB strings
+        assert next((i for i, line in enumerate(lines) if written[i] != line), None) is None
+        assert lines[2].startswith("-0,") and lines[3].startswith("0,")
+
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_table(tmp_path / "t.dat", {}, ("a", "b"), [[1.0, 2.0], [1.0]])
@@ -237,16 +262,26 @@ class TestYieldsCommand:
     @pytest.mark.parametrize(
         "extra",
         [["--budget", "0"], ["--pf-bins", "1:2"], ["--pf-bins", "a:b:c"], ["--pf-bins", "1:0:4"],
-         ["--pf-bins", "nan:1:4"], ["--pf-bins", "0:1:0"], ["--smear"], ["--pf-axis", "0"]],
+         ["--pf-bins", "nan:1:4"], ["--pf-bins", "0:1:0"], ["--smear"], ["--pf-axis", "0"],
+         ['{"nu": 1.0}'], ['{"delta": 0.5}'], ['{"zeta_override": 1.0, "delta": 0.5}']],
         ids=["budget", "pf-bins-short", "pf-bins-text", "pf-bins-reversed", "pf-bins-nan",
-             "pf-bins-empty", "smear-alone", "pf-axis-alone"],
+             "pf-bins-empty", "smear-alone", "pf-axis-alone", "sidecar-no-delta",
+             "sidecar-no-nu", "sidecar-zeta-no-nu"],
     )
-    def test_usage_errors_before_loading(self, extra, monkeypatch, capsys):
+    def test_usage_errors_before_loading(self, extra, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
-        argv = ["yields", "--particles", "p.csv", "--params", "p.json"] + extra
+        sidecar = tmp_path / "p.json"
+        if extra[0].startswith("{"):
+            sidecar.write_text(extra[0])  # a params sidecar that lacks a required key
+            extra = []
+        argv = ["yields", "--particles", "p.csv", "--params", str(sidecar)] + extra
         assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
         if extra == ["--pf-bins", "1:2"]:
-            assert "lo:hi:nbins" in capsys.readouterr().err
+            assert "lo:hi:nbins" in err
+        if sidecar.exists():
+            missing = "'nu'" if "nu" not in sidecar.read_text() else "'delta'"
+            assert str(sidecar) in err and missing in err
 
     def test_missing_file_is_io_error(self, tmp_path):
         pjson = tmp_path / "params.json"

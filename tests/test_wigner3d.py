@@ -392,7 +392,51 @@ class TestExportGrid:
         assert path.read_bytes() == path2.read_bytes()
 
 
+def _crossings_reference(x_axis, y_axis, values, level=0.0):
+    """Cell-by-cell scan of `level_crossings`, in its documented point order."""
+    f = np.asarray(values, dtype=float) - level
+    pts = []
+    nx, ny = f.shape
+    for i in range(nx - 1):
+        for j in range(ny):
+            a, b = f[i, j], f[i + 1, j]
+            if a == 0.0:
+                pts.append((x_axis[i], y_axis[j]))
+            if a * b < 0.0:
+                s = a / (a - b)
+                pts.append((x_axis[i] + s * (x_axis[i + 1] - x_axis[i]), y_axis[j]))
+    for i in range(nx):
+        for j in range(ny - 1):
+            a, b = f[i, j], f[i, j + 1]
+            if a * b < 0.0:
+                s = a / (a - b)
+                pts.append((x_axis[i], y_axis[j] + s * (y_axis[j + 1] - y_axis[j])))
+    pts.extend((x_axis[-1], y_axis[j]) for j in range(ny) if f[-1, j] == 0.0)
+    return np.array(pts, dtype=float).reshape(-1, 2)
+
+
 class TestLevelCrossings:
+    @pytest.mark.parametrize("level", [0.0, 0.3])
+    def test_matches_cell_scan(self, rng, level):
+        for nx, ny in ((9, 7), (2, 2), (1, 5), (12, 1)):
+            xs = np.sort(rng.uniform(-2, 2, nx)) + np.arange(nx)
+            ys = np.sort(rng.uniform(-1, 3, ny)) + np.arange(ny)
+            z = rng.normal(size=(nx, ny))
+            # exact zeros (and -0.0) in interior cells, the last row and the last column
+            for i, j in ((nx // 2, ny // 2), (nx - 1, 0), (nx - 1, ny - 1), (0, ny - 1)):
+                z[i, j] = level
+            z[nx // 3, 0] = -0.0 + level
+            expected = _crossings_reference(xs, ys, z, level)
+            pts = level_crossings(xs, ys, z, level)
+            assert pts.shape == expected.shape
+            assert np.array_equal(pts, expected)
+
+    def test_no_crossings(self):
+        xs, ys = np.linspace(0, 1, 4), np.linspace(0, 2, 5)
+        pts = level_crossings(xs, ys, np.ones((4, 5)), 0.0)
+        assert pts.shape == (0, 2) and pts.dtype == float
+        assert np.array_equal(pts, _crossings_reference(xs, ys, np.ones((4, 5))))
+
     def test_simple_circle(self):
         xs = np.linspace(-2, 2, 81)
         ys = np.linspace(-2, 2, 81)

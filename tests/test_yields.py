@@ -1,12 +1,14 @@
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from oscoal.coalescence import PhasePoint, p_kl_closed, v_and_t
+from oscoal.coalescence import PhasePoint, p_kl_batch, p_kl_closed, v_and_t
 from oscoal.yields import (
     Channel,
     MCConfig,
@@ -34,8 +36,8 @@ def random_ensembles(rng, n1=30, n2=30):
 
 class TestLoadParticles:
     def test_empty_sources(self):
-        assert load_particles(io.StringIO("")) == []
-        assert load_particles(io.StringIO("species,rx,ry,rz,px,py,pz\n")) == []
+        assert len(load_particles(io.StringIO(""))) == 0
+        assert len(load_particles(io.StringIO("species,rx,ry,rz,px,py,pz\n"))) == 0
 
     def test_two_rows(self):
         txt = "species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\ndbar,1,2,3,0.1,0.2,0.3\n"
@@ -72,6 +74,69 @@ class TestLoadParticles:
         path = tmp_path / "parts.csv"
         path.write_text("species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\n")
         assert len(load_particles(path)) == 1
+
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [("species,rx,ry,rz,px,py,pz", "u,0,0,0,0,0,0,7", "expected 7 fields, got 8"),
+         ("species,rx,ry,rz,px,py,pz,weight", "u,0,0,0,0,0,0", "expected 8 fields, got 7")],
+        ids=["weight-without-header", "missing-weight"],
+    )
+    def test_rows_must_match_header_width(self, header, row, message):
+        txt = f"{header}\nu,0,0,0,0,0,0{',1' * header.endswith('weight')}\n{row}\n"
+        with pytest.raises(ValueError, match=f"line 3: {message}"):
+            load_particles(io.StringIO(txt))
+
+    def test_floats_match_python_float(self):
+        good = [" 2 ", "1_0", "-0", "+.5", "1e-320", "4.9e-324", "1E-400", "１２", "\t3.25",
+                "0.1", "1e308", "-1.7976931348623157e308", "123456789.123456789"]
+        txt = "species,rx,ry,rz,px,py,pz\n" + "".join(
+            f"u,{tok},0,0,0,0,{tok}\n" for tok in good)
+        recs = load_particles(io.StringIO(txt))
+        expected = np.array([float(tok) for tok in good])
+        assert np.array_equal(recs.r[:, 0].view(np.int64), expected.view(np.int64))
+        assert np.array_equal(recs.p[:, 2].view(np.int64), expected.view(np.int64))
+        for tok in ("1__0", "_1", "0x10", "", "1,5", "nan(1)", "1 0", "e5"):
+            with pytest.raises(ValueError):
+                float(tok)
+            txt = f'species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\nu,0,0,"{tok}",0,0,0\n'
+            with pytest.raises(ValueError, match="line 3: could not convert"):
+                load_particles(io.StringIO(txt))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("u,0,0,0", "expected 8 fields, got 4"),
+         ("s,0,0,0,0,0,0,1", "unknown species 's'; known: u, dbar"),
+         ("u,0,0,x,0,0,0,1", "could not convert string to float: 'x'"),
+         ("u,0,0,0,0,inf,0,1", "non-finite component in particle record ParticleRecord"),
+         ("u,0,0,0,0,0,0,nan", "non-finite component"),
+         ("u,0,0,0,0,0,0,-0.5", "weight must be nonnegative, got -0.5")],
+        ids=["field-count", "species", "float", "non-finite", "nan-weight", "negative-weight"],
+    )
+    def test_first_error_names_its_line_after_blank_lines(self, row, message):
+        txt = ("species,rx,ry,rz,px,py,pz,weight\nu,0,0,0,0,0,0,1\n\n , ,\n"
+               "dbar,1,1,1,1,1,1,1\n,,,,,,,\n" + row + "\n")
+        for later in ("", "u,0,0,x\n"):  # alone, and ahead of another bad line
+            with pytest.raises(ValueError, match="^line 7: " + re.escape(message)):
+                load_particles(io.StringIO(txt + later))
+
+    def test_quoted_fields_and_blank_lines(self):
+        txt = ('species,rx,ry,rz,px,py,pz,weight\n\n"u","1.5",0,0,0,0," 2 ",3\n'
+               '  ,  \n" dbar",0,0,0,0,0,0,"0"\n')
+        recs = load_particles(io.StringIO(txt))
+        assert len(recs) == 2
+        assert recs[0] == ParticleRecord("u", (1.5, 0, 0), (0, 0, 2.0), 3.0)
+        assert recs[1] == ParticleRecord("dbar", (0, 0, 0), (0, 0, 0), 0.0)
+
+    def test_columns_and_species_selection(self):
+        txt = ("species,rx,ry,rz,px,py,pz\n"
+               "dbar,1,0,0,0,0,0\nu,2,0,0,0,0,0\ndbar,3,0,0,0,0,0\nu,4,0,0,0,0,0\n")
+        recs = load_particles(io.StringIO(txt))
+        assert recs.r.shape == recs.p.shape == (4, 3) and recs.weight.tolist() == [1.0] * 4
+        assert recs.species.tolist() == ["dbar", "u", "dbar", "u"]
+        dbar = recs.select("dbar")
+        assert len(dbar) == 2 and dbar.r[:, 0].tolist() == [1.0, 3.0]
+        assert recs[1] == recs.select("u")[0] == ParticleRecord("u", (2, 0, 0), (0, 0, 0))
+        assert recs[-2] == dbar[1]
 
 
 class TestChannelTable:
@@ -170,6 +235,19 @@ class TestPairYields:
         for name in a.channels:
             assert b.channels[name].value == 2 * a.channels[name].value
 
+    def test_table_and_records_agree(self, params, rng):
+        us, ds = random_ensembles(rng, 12, 9)
+        txt = "species,rx,ry,rz,px,py,pz,weight\n" + "".join(
+            ",".join([rec.species, *map(repr, rec.r + rec.p + (rec.weight,))]) + "\n"
+            for pair in zip(ds, us) for rec in pair) + "".join(
+            ",".join(["u", *map(repr, rec.r + rec.p + (rec.weight,))]) + "\n" for rec in us[9:])
+        table = load_particles(io.StringIO(txt))
+        for cfg in (MCConfig(seed=2, pf_bins=tuple(np.linspace(-3, 3, 9)), smear=True),
+                    MCConfig(seed=2, max_pairs=50, pf_bins=tuple(np.linspace(-3, 3, 9)))):
+            a = pair_yields(us, ds, channel_table(), params, cfg)
+            b = pair_yields(table.select("u"), table.select("dbar"), channel_table(), params, cfg)
+            assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
     def test_zero_budget_rejected(self, params):
         with pytest.raises(ValueError):
             MCConfig(seed=0, max_pairs=0)
@@ -237,6 +315,34 @@ class TestSpectrum:
         _, one = spectrum(edges, [pair], chan, params)
         _, two = spectrum(edges, [pair, pair], chan, params)
         np.testing.assert_array_equal(two, 2 * one)
+
+    @pytest.mark.parametrize("smear", [False, True], ids=["sharp", "smeared"])
+    def test_matches_pairwise_formula_bitwise(self, params, rng, smear):
+        us, ds = random_ensembles(rng, 7, 9)
+        pairs = [(a, b) for a in us for b in ds]
+        chan = channel_table()[2]
+        level = (chan.k, chan.l)
+        edges = np.linspace(-1.5, 1.5, 13)
+        # the spectrum built pair by pair and component by component
+        rel_r = np.array([[a - b for a, b in zip(p1.r, p2.r)] for p1, p2 in pairs])
+        rel_p = np.array([[0.5 * (a - b) for a, b in zip(p1.p, p2.p)] for p1, p2 in pairs])
+        w = np.array([p1.weight * p2.weight for p1, p2 in pairs])
+        masses = w * float(chan.stat_weight) * p_kl_batch([level], rel_r, rel_p, params)[level]
+        centers = np.array([p1.p[1] + p2.p[1] for p1, p2 in pairs])
+        widths = np.diff(edges)
+        if smear:
+            z = (edges[None, :] - centers[:, None]) * (params.delta / params.hbar)
+            cdf = 0.5 * (1.0 + erf(z))
+            expected = (masses[:, None] * np.diff(cdf, axis=1)).sum(axis=0) / widths
+        else:
+            idx = np.searchsorted(edges, centers, side="right") - 1
+            ok = (idx >= 0) & (idx < len(widths))
+            assert not ok.all()
+            counts = np.zeros(len(widths))
+            np.add.at(counts, idx[ok], masses[ok])
+            expected = counts / widths
+        _, dens = spectrum(edges, pairs, chan, params, smear=smear, axis=1)
+        assert np.array_equal(dens, expected)
 
     def test_misordered_edges_rejected(self, params):
         with pytest.raises(ValueError):
