@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .expansion import Ame, coeff, coeff_oracle, degenerate_subspace
 from .gridio import fmt17, write_prob_table, write_table, write_wigner_grid
-from .ho1d import OscParams, quasi_prob_table
+from .ho1d import OscParams, quasi_prob
 from .coalescence import PhasePoint, p_kl_batch, shell_states, v_and_t
 from .coalescence import p_kl  # unused here; perfbench/spans.py wraps this name
 from .wigner3d import CLOSED_FORM_STATES, export_grid, level_crossings
@@ -262,7 +262,7 @@ def cmd_prob(args):
             print(f"verification failed: oracle dev {md:.3e}", file=sys.stderr)
             return EXIT_INVARIANT
     points = [np.tile(c, len(levels)) for c in (*grid, v, t)]
-    write_prob_table([k_col, l_col, *points, prob], params, args.out, extra={"zeta": params.zeta})
+    write_prob_table([k_col, l_col, *points, prob], params, args.out)
     return EXIT_OK
 
 
@@ -322,7 +322,7 @@ def _figure2(outdir, params, resolution):
     for n in (0, 1, 2):
         for zeta in (0.25, 1.0, 4.0):
             pz = OscParams.from_zeta(params.nu, zeta, params.hbar)
-            vals = quasi_prob_table(R, P, pz, n)[n, n].real
+            vals = quasi_prob(n, n, R, P, pz).real
             contour = level_crossings(r_axis, p_axis, vals, 0.2)
             path = Path(outdir) / f"fig2_p{n}{n}_zeta{zeta:g}.dat"
             header = {"type": "quasi_prob_grid", "n": n, "zeta": zeta,

@@ -294,7 +294,7 @@ def _quasi_prob_quad(n_prime, n, r_i, p_i, params, nodes=None):
     xi = nu * xs
     eta = ks / (hbar * nu)
     lo, hi = min(n_prime, n), max(n_prime, n)
-    base = np.array([[_wigner_poly(lo, hi, a, b) for b in eta] for a in xi])
+    base = _wigner_poly(lo, hi, xi[:, None], eta[None, :])
     if n_prime > n:
         base = np.conj(base)
     total = np.sum(np.outer(w, w) * base) / (math.pi * hbar)

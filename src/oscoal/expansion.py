@@ -30,13 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (
-    GaussianRational,
-    assoc_laguerre,
-    double_factorial,
-    hermite,
-    spherical_harmonic,
-)
+from .specfun import GaussianRational, double_factorial
 
 __all__ = [
     "Ame",
@@ -259,58 +253,26 @@ def coeff_k0(l, m, triple):
     return ExactCoeff(1, radicand, s)
 
 
-@lru_cache(maxsize=8)
-def _gh_grid(n):
-    t, w = np.polynomial.hermite.hermgauss(n)
-    t1, t2, t3 = (g.ravel() for g in np.meshgrid(t, t, t, indexing="ij"))
-    w3 = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    return t1, t2, t3, w3
-
-
-def coeff_oracle(state, triple, tol=1e-10):
+def coeff_oracle(state, triple):
     """Quadrature oracle: the defining 3-D overlap integral.
 
-    Evaluates Int d^3r  Phi*_{n1 n2 n3} Psi_{klm} by tensor-product
-    Gauss-Hermite quadrature; the integrand is a polynomial times
-    exp(-r^2) in scaled coordinates, so the rule is exact up to roundoff.
-    Guarded to shells N = 2k + l <= 8 to bound cost; `tol` documents the
-    accuracy callers may assert against.
+    Evaluates Int d^3r  Phi*_{n1 n2 n3} Psi_{klm} at nu = 1 by tensor-product
+    Gauss-Hermite quadrature of phi_n and Psi_klm themselves, with their
+    Gaussian exp(-r^2) divided out; the rest is a polynomial, so the rule is
+    exact up to roundoff.  Guarded to shells N = 2k + l <= 8 to bound cost.
     """
+    from .ho1d import OscParams, phi_n
+    from .wigner3d import _gh_grid3, _psi_cartesian
+
     N = state.energy_quantum
     if N > 8:
         raise ValueError(f"oracle limited to 2k + l <= 8, got N={N}")
-    k, l, m = state.k, state.l, state.m
-    n1, n2, n3 = triple.n1, triple.n2, triple.n3
-    nodes = (N + l) // 2 + 9
-    t1, t2, t3, w3 = _gh_grid(nodes)
-
-    # Factorized state with its Gaussian stripped (unit oscillator length).
-    phi_poly = np.ones_like(t1)
-    for n, t in ((n1, t1), (n2, t2), (n3, t3)):
-        phi_poly = phi_poly * hermite(n, t) * math.sqrt(
-            1.0 / (2.0**n * math.factorial(n) * math.sqrt(math.pi))
-        )
-
-    # Angular-momentum state, also Gaussian-stripped; (r Y_l^m) is a
-    # polynomial in cartesian coordinates, handled through angles away
-    # from the origin (the origin only matters for l = 0).
-    r2 = t1 * t1 + t2 * t2 + t3 * t3
-    r = np.sqrt(r2)
-    pref = math.sqrt(
-        2.0 ** (k + l + 2)
-        * math.factorial(k)
-        / (math.sqrt(math.pi) * float(double_factorial(2 * k + 2 * l + 1)))
-    )
-    lag = assoc_laguerre(k, l + Fraction(1, 2), r2)
-    with np.errstate(invalid="ignore"):
-        theta = np.arccos(np.clip(np.divide(t3, r, out=np.zeros_like(r), where=r > 0), -1, 1))
-    phi_ang = np.arctan2(t2, t1)
-    ylm = spherical_harmonic(l, m, theta, phi_ang)
-    psi_poly = pref * r**l * lag * ylm
-    if l > 0:
-        psi_poly = np.where(r > 0, psi_poly, 0.0)
-
-    return complex(np.sum(w3 * phi_poly * psi_poly))
+    unit = OscParams(nu=1.0)
+    tt, w3 = _gh_grid3((N + state.l) // 2 + 9)
+    integrand = np.exp(np.sum(tt * tt, axis=1))
+    for i, n in enumerate(triple):
+        integrand = integrand * phi_n(n, tt[:, i], unit)
+    return complex(np.sum(w3 * integrand * _psi_cartesian(state, tt, unit)))
 
 
 @lru_cache(maxsize=None)
@@ -375,28 +337,18 @@ def d_coeff_reduced(k, l, triple, triple_prime):
     Returns the Gaussian rational g with
     D(k, l; t, t') = g * sqrt(n1! n2! n3! n1'! n2'! n3'!); the square root
     cancels against the factorial prefactors of the 1-D Wigner closed forms,
-    which is what makes fully rational 3-D derivations possible.
+    which is what makes fully rational 3-D derivations possible.  Both
+    coefficients of one m share the sign (-1)^k and the radicand up to the
+    factorials of their own triple, so g sums conj(s') s R / (n1! n2! n3!).
     """
-    N = 2 * k + l
-    if triple.energy_quantum != N or triple_prime.energy_quantum != N:
-        return GaussianRational(0)
-    base = (
-        Fraction(2) ** (k - l - N)
-        * (2 * l + 1)
-        * math.factorial(k)
-        / double_factorial(2 * k + 2 * l + 1)
-    )
+    q = math.factorial(triple.n1) * math.factorial(triple.n2) * math.factorial(triple.n3)
     total = GaussianRational(0)
     for m in range(-l, l + 1):
-        # parity selection rule: both coefficients vanish unless l + m - n3 is even
-        if (l + m - triple.n3) % 2 != 0 or (l + m - triple_prime.n3) % 2 != 0:
+        state = Ame(k, l, m)
+        c, cp = coeff(state, triple), coeff(state, triple_prime)
+        if c.is_zero or cp.is_zero:
             continue
-        s = _s_sum(k, l, m, triple.n1, triple.n2, triple.n3)
-        sp = _s_sum(k, l, m, triple_prime.n1, triple_prime.n2, triple_prime.n3)
-        if not s or not sp:
-            continue
-        r_m = base * math.factorial(l - m) * math.factorial(l + m)
-        total = total + sp.conjugate() * s * r_m
+        total = total + cp.s_sum.conjugate() * c.s_sum * (c.radicand / q)
     return total * Fraction(1, 2 * l + 1)
 
 

@@ -104,14 +104,13 @@ def read_wigner_grid(path):
     return header, values
 
 
-def write_prob_table(columns, params, path, extra=None):
+def write_prob_table(columns, params, path):
     """Emit a probability table: JSON header, then CSV k,l,r,p,theta,v,t,P.
 
-    `columns` holds the eight equal-length columns in that order.
+    `columns` holds the eight equal-length columns in that order; the header
+    repeats zeta at the top level.
     """
-    payload = {"type": "prob_table", "params": _params_dict(params)}
-    if extra:
-        payload.update(extra)
+    payload = {"type": "prob_table", "params": _params_dict(params), "zeta": params.zeta}
     write_table(path, payload, _PROB_COLUMNS, columns)
 
 

@@ -2,9 +2,10 @@
 
 Floating-point evaluation of Hermite and associated Laguerre polynomials via
 their stable three-term recurrences, Condon-Shortley spherical harmonics, and
-the exact (arbitrary-precision) pieces used by the coefficient algebra:
-double factorials, terminating Gauss hypergeometric sums at argument -1, and
-Gaussian-rational numbers a/b + (c/d)i.
+the exact (arbitrary-precision) pieces of the coefficient algebra: double
+factorials and Gaussian-rational numbers a/b + (c/d)i.  The terminating Gauss
+hypergeometric sum at argument -1, `gauss_2f1_neg1`, is the test oracle for
+the binomial sum inside the coefficients (`expansion._binomial_alternating_sum`).
 
 All floating-point routines accept scalars or numpy arrays and are pure
 functions with no global state.

@@ -32,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expansion import Ame, bilinear_assemble, bilinear_table, d_coeff_reduced, degenerate_subspace
+from .expansion import Ame, _coeff_matrix, bilinear_assemble, bilinear_table, d_coeff_reduced
+from .expansion import degenerate_subspace
 from .ho1d import Phase1D, wigner_1d
 from .specfun import GaussianRational, assoc_laguerre, double_factorial, spherical_harmonic
 
@@ -142,6 +143,11 @@ def _wigner_1d_matrix(nmax, x, q, params):
     return mat
 
 
+def _axis_matrices(N, pt, params):
+    """The three per-axis matrices W_{n' n}(r_i, q_i), n', n <= N."""
+    return [_wigner_1d_matrix(N, pt.r_vec[i], pt.q_vec[i], params) for i in range(3)]
+
+
 def wigner_klm(state, pt, params):
     """m-resolved Wigner distribution W_klm at one phase-space point.
 
@@ -149,30 +155,16 @@ def wigner_klm(state, pt, params):
     up to roundoff (about 1e-16 relative) and is returned as complex so the
     residue stays observable.
     """
-    N = state.energy_quantum
-    triples = degenerate_subspace(N)
-    from .expansion import coeff
-
-    cvec = np.array([coeff(state, t).value for t in triples])
-    table = np.outer(np.conj(cvec), cvec)
-    mats = [
-        _wigner_1d_matrix(N, pt.r_vec[i], pt.q_vec[i], params) for i in range(3)
-    ]
-    return bilinear_assemble(table, triples, *mats)
+    triples, mat = _coeff_matrix(state.k, state.l)
+    cvec = mat[state.m + state.l]
+    mats = _axis_matrices(state.energy_quantum, pt, params)
+    return bilinear_assemble(np.outer(np.conj(cvec), cvec), triples, *mats)
 
 
 def wigner_kl(k, l, pt, params):
     """m-averaged Wigner distribution W_kl = (1/(2l+1)) sum_m W_klm."""
-    return _wigner_kl_complex(k, l, pt, params).real
-
-
-def _wigner_kl_complex(k, l, pt, params):
-    N = 2 * k + l
     triples, table = bilinear_table(k, l, True)
-    mats = [
-        _wigner_1d_matrix(N, pt.r_vec[i], pt.q_vec[i], params) for i in range(3)
-    ]
-    return bilinear_assemble(table, triples, *mats)
+    return bilinear_assemble(table, triples, *_axis_matrices(2 * k + l, pt, params)).real
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +382,12 @@ def _eval_invariant_poly(poly, a, b, c):
     return out
 
 
+def _w00_times_poly(poly, a, b, c, hbar):
+    """W_00 * P(a, b, c), the W_kl of the invariant polynomial P."""
+    w00 = np.exp(-a - b) / (math.pi**3 * hbar**3)
+    return w00 * _eval_invariant_poly(poly, a, b, c)
+
+
 def wigner_kl_closed(k, l, r2, q2, rq, params):
     """Closed-form W_kl from the frozen tables, states with 2k + l <= 3.
 
@@ -400,8 +398,7 @@ def wigner_kl_closed(k, l, r2, q2, rq, params):
     a = nu * nu * np.asarray(r2, dtype=float)
     b = np.asarray(q2, dtype=float) / (hbar * nu) ** 2
     c = (np.asarray(rq, dtype=float) / hbar) ** 2
-    w00 = np.exp(-a - b) / (math.pi**3 * hbar**3)
-    out = w00 * _eval_invariant_poly(poly, a, b, c)
+    out = _w00_times_poly(poly, a, b, c, hbar)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -532,7 +529,7 @@ def level_crossings(x_axis, y_axis, values, level=0.0):
     return np.concatenate([along_x, along_y, last_row]).reshape(-1, 2)
 
 
-def export_grid(k, l, r_axis, q_axis, theta_axis, params, node_level=0.0):
+def export_grid(k, l, r_axis, q_axis, theta_axis, params):
     """Evaluate W_kl on an (r, q, theta) product grid and extract node lines.
 
     Axes must be strictly increasing (theta may be any finite list).  Uses
@@ -555,10 +552,9 @@ def export_grid(k, l, r_axis, q_axis, theta_axis, params, node_level=0.0):
     b = (q_axis[None, :, None] / (hbar * nu)) ** 2
     cos2 = np.cos(theta_axis[None, None, :]) ** 2
     c = a * b * cos2
-    w00 = np.exp(-a - b) / (math.pi**3 * hbar**3)
-    values = w00 * _eval_invariant_poly(poly, a, b, c)
+    values = _w00_times_poly(poly, a, b, c, hbar)
     nodes = [
-        level_crossings(r_axis, q_axis, values[:, :, s], node_level)
+        level_crossings(r_axis, q_axis, values[:, :, s])
         for s in range(len(theta_axis))
     ]
     return WignerGrid(k, l, r_axis, q_axis, theta_axis, values, nodes, params)

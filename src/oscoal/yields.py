@@ -123,11 +123,11 @@ class MCConfig:
         if self.pf_axis not in (0, 1, 2):
             raise ValueError(f"pf_axis must be 0, 1 or 2, got {self.pf_axis}")
         if self.pf_bins is not None:
-            edges = tuple(float(e) for e in self.pf_bins)
-            if (len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:]))
-                    or not all(map(math.isfinite, edges))):
+            edges = np.asarray(self.pf_bins, dtype=float)
+            if (edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all()
+                    or np.any(np.diff(edges) <= 0)):
                 raise ValueError("pf_bins must be at least two finite, strictly increasing edges")
-            object.__setattr__(self, "pf_bins", edges)
+            object.__setattr__(self, "pf_bins", tuple(edges.tolist()))
 
 
 @dataclass(frozen=True)
@@ -159,25 +159,25 @@ class YieldReport:
         }
 
 
-def load_particles(source, known_species=KNOWN_SPECIES):
+def load_particles(source):
     """Parse a particle CSV into a `ParticleTable`, validating every row.
 
     `source` is a path or an open text stream.  Header must be
     species,rx,ry,rz,px,py,pz with an optional trailing weight column, and
     every nonblank row must have the header's number of fields.  Malformed
     or non-finite rows raise ValueError naming the line; species outside
-    `known_species` raise listing the known tags.
+    `KNOWN_SPECIES` raise listing the known tags.
     """
     if hasattr(source, "read"):
-        return _parse_particles(source, known_species)
+        return _parse_particles(source)
     with open(source, newline="") as fh:
-        return _parse_particles(fh, known_species)
+        return _parse_particles(fh)
 
 
 _HEADER = ["species", "rx", "ry", "rz", "px", "py", "pz"]
 
 
-def _parse_particles(fh, known_species):
+def _parse_particles(fh):
     reader = csv.reader(fh)
     header = [h.strip() for h in next(reader, _HEADER)]
     if header[:7] != _HEADER or len(header) > 8 or (len(header) == 8 and header[7] != "weight"):
@@ -186,18 +186,18 @@ def _parse_particles(fh, known_species):
         )
     width = len(header)
     rows = list(reader)
-    table = _columns([row for row in rows if "".join(row).strip()], width, known_species)
+    table = _columns([row for row in rows if "".join(row).strip()], width)
     if table is None:
-        raise _first_error(rows, width, known_species)
+        raise _first_error(rows, width)
     return table
 
 
-def _columns(rows, width, known_species):
+def _columns(rows, width):
     """The table of nonblank `rows`, or None if any row fails a check."""
     if any(len(row) != width for row in rows):
         return None
     tags = [row[0].strip() for row in rows]
-    if not set(tags) <= set(known_species):
+    if not set(tags) <= set(KNOWN_SPECIES):
         return None
     try:
         nums = np.array([f for row in rows for f in row[1:]], dtype=float)
@@ -210,7 +210,7 @@ def _columns(rows, width, known_species):
     return ParticleTable(np.array(tags, dtype=str), nums[:, 0:3], nums[:, 3:6], weight)
 
 
-def _first_error(rows, width, known_species):
+def _first_error(rows, width):
     """The ValueError, naming its line, of the first row that fails a check."""
     for lineno, row in enumerate(rows, start=2):
         if not "".join(row).strip():
@@ -218,9 +218,9 @@ def _first_error(rows, width, known_species):
         if len(row) != width:
             return ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
         species = row[0].strip()
-        if species not in known_species:
+        if species not in KNOWN_SPECIES:
             return ValueError(
-                f"line {lineno}: unknown species {species!r}; known: {', '.join(known_species)}"
+                f"line {lineno}: unknown species {species!r}; known: {', '.join(KNOWN_SPECIES)}"
             )
         try:
             nums = [float(c) for c in row[1:]]
@@ -367,11 +367,10 @@ def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
     centroid total momentum component (delta limit, smear=False) or spread
     with the Gaussian marginal of the overlap factor J, whose density profile
     is exp(-delta^2 (P - P_i)^2 / hbar^2).  Summed over wide enough bins the
-    spectrum integrates back to the channel yield.
+    spectrum integrates back to the channel yield.  Edges and axis must pass
+    the checks of `MCConfig`.
     """
-    edges = np.asarray(pf_bin_edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin edges must be a strictly increasing 1-D sequence")
+    edges = np.array(MCConfig(pf_bins=pf_bin_edges, pf_axis=axis).pf_bins)
     pairs = list(pairs)
     if not pairs:
         return edges, np.zeros(len(edges) - 1)

@@ -114,10 +114,14 @@ class TestSelectionRules:
             assert norm_squared_exact(Ame(k, l, m)) == 1
         for a, b in (((0, 8, 2), (1, 6, 2)), ((2, 4, 0), (4, 0, 0)), ((3, 2, 1), (2, 4, 1))):
             assert overlap_s_part(Ame(*a), Ame(*b)) == GaussianRational(0)
-        for k, l, m in ((0, 7, 2), (3, 1, 0), (0, 8, -8)):
+        # every level of the shells 6-8 at m = 0 and m = l, every triple
+        oracle_states = {(0, 7, 2), (3, 1, 0), (0, 8, -8)}
+        oracle_states |= {(k, N - 2 * k, m) for N in (6, 7, 8) for k in range(N // 2 + 1)
+                          for m in (0, N - 2 * k)}
+        for k, l, m in sorted(oracle_states):
             s = Ame(k, l, m)
-            for t in degenerate_subspace(s.energy_quantum)[::4]:
-                assert abs(coeff(s, t).value - coeff_oracle(s, t)) < 1e-8
+            for t in degenerate_subspace(s.energy_quantum):
+                assert abs(coeff(s, t).value - coeff_oracle(s, t)) < 1e-8, (s, t)
 
 
 class TestK0ClosedForm:
@@ -221,6 +225,17 @@ class TestDCoeff:
                 assert complex(red) * math.sqrt(q) == pytest.approx(
                     d_coeff(k, l, a, b), abs=1e-14
                 )
+
+    def test_reduced_trace_is_one_exactly(self):
+        # sum_t D(k, l; t, t) = (1/(2l+1)) sum_m sum_t |C_{klm, t}|^2 = 1
+        for N in range(8):
+            triples = degenerate_subspace(N)
+            for k in range(N // 2 + 1):
+                trace = GaussianRational(0)
+                for t in triples:
+                    q = math.factorial(t.n1) * math.factorial(t.n2) * math.factorial(t.n3)
+                    trace = trace + d_coeff_reduced(k, N - 2 * k, t, t) * q
+                assert trace == GaussianRational(Fraction(1)), (k, N - 2 * k)
 
     def test_bilinear_table_consistency(self):
         triples, tab = bilinear_table(0, 1, m_averaged=True)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from oscoal.ho1d import (
     OscParams,
     Phase1D,
+    _wigner_poly,
     phi_n,
     quasi_amplitudes,
     quasi_prob,
@@ -137,6 +138,15 @@ class TestWigner1D:
             )
             norm = float(np.sum(np.outer(w, w) * vals)) * params.hbar
             assert norm == pytest.approx(1.0, abs=1e-10)
+
+    def test_poly_on_a_grid_matches_pointwise(self, rng):
+        # the P_{n'n} quadrature oracle evaluates its node grid in one call
+        xi, eta = rng.normal(size=9), rng.normal(size=7)
+        for lo in range(5):
+            for hi in range(lo, 9):
+                grid = _wigner_poly(lo, hi, xi[:, None], eta[None, :])
+                ref = np.array([[_wigner_poly(lo, hi, a, b) for b in eta] for a in xi])
+                np.testing.assert_allclose(grid, ref, rtol=1e-14, atol=0)
 
 
 class TestWigner1DGen:

@@ -348,6 +348,20 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(np.array([0.0, -1.0, 1.0]), [], channel_table()[0], params)
 
+    @pytest.mark.parametrize(
+        "edges, axis",
+        [([0.0, math.inf], 2), ([math.nan, 1.0, 2.0], 2), ([-math.inf, 0.0, 5.0], 2),
+         ([[0.0, 1.0], [2.0, 3.0]], 2), ([0.0, 1.0], -1), ([0.0, 1.0], 3)],
+        ids=["inf-edge", "nan-edge", "minus-inf-edge", "2d-edges", "axis-minus-1", "axis-3"],
+    )
+    def test_rejects_what_mcconfig_rejects(self, params, edges, axis):
+        pair = (ParticleRecord("u", (0.5, 0, 0), (0, 0, 0.3)),
+                ParticleRecord("dbar", (0, 0, 0), (0, 0, 0.4)))
+        for make in (lambda: MCConfig(pf_bins=edges, pf_axis=axis),
+                     lambda: spectrum(edges, [pair], channel_table()[0], params, axis=axis)):
+            with pytest.raises(ValueError):
+                make()
+
     def test_empty_pairs(self, params):
         edges, dens = spectrum(np.array([0.0, 1.0]), [], channel_table()[0], params)
         assert np.all(dens == 0)
