@@ -282,6 +282,8 @@ def cmd_yields(args):
                    pf_bins=None if args.pf_bins is None else _pf_edges(args.pf_bins),
                    pf_axis=2 if args.pf_axis is None else args.pf_axis, smear=args.smear)
     params_file = json.loads(Path(args.params).read_text())
+    if not isinstance(params_file, dict):
+        raise _UsageError(f"params file {args.params} must hold a JSON object")
     required = ("nu",) if "zeta_override" in params_file else ("nu", "delta")
     missing = [key for key in required if key not in params_file]
     if missing:

@@ -262,17 +262,43 @@ def coeff_oracle(state, triple):
     exact up to roundoff.  Guarded to shells N = 2k + l <= 8 to bound cost.
     """
     from .ho1d import OscParams, phi_n
-    from .wigner3d import _gh_grid3, _psi_cartesian
 
     N = state.energy_quantum
     if N > 8:
         raise ValueError(f"oracle limited to 2k + l <= 8, got N={N}")
+    tt, w3, integrand, psi = _oracle_grid(state)
     unit = OscParams(nu=1.0)
-    tt, w3 = _gh_grid3((N + state.l) // 2 + 9)
-    integrand = np.exp(np.sum(tt * tt, axis=1))
     for i, n in enumerate(triple):
         integrand = integrand * phi_n(n, tt[:, i], unit)
-    return complex(np.sum(w3 * integrand * _psi_cartesian(state, tt, unit)))
+    return complex(np.sum(w3 * integrand * psi))
+
+
+@lru_cache(maxsize=None)
+def _oracle_nodes(n):
+    """Nodes, weights and exp(|t|^2) of the n^3 Gauss-Hermite oracle grid."""
+    from .wigner3d import _gh_grid3
+
+    tt, w3 = _gh_grid3(n)
+    return _read_only(tt, w3, np.exp(np.sum(tt * tt, axis=1)))
+
+
+@lru_cache(maxsize=None)
+def _oracle_grid(state):
+    """The oracle grid of one state (N <= 8) with Psi_klm at nu = 1 on its nodes.
+
+    Shared by every triple of the state; at most 165 states are cached.
+    """
+    from .ho1d import OscParams
+    from .wigner3d import _psi_cartesian
+
+    tt, w3, gauss = _oracle_nodes((state.energy_quantum + state.l) // 2 + 9)
+    return (tt, w3, gauss) + _read_only(_psi_cartesian(state, tt, OscParams(nu=1.0)))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=None)

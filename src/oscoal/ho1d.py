@@ -66,8 +66,8 @@ class OscParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.nu <= 0 or self.delta <= 0 or self.hbar <= 0:
-            raise ValueError(f"nu, delta, hbar must all be positive, got {self}")
+        if not all(0 < x < math.inf for x in (self.nu, self.delta, self.hbar)):
+            raise ValueError(f"nu, delta, hbar must all be positive and finite, got {self}")
 
     @property
     def zeta(self):
@@ -75,8 +75,8 @@ class OscParams:
 
     @classmethod
     def from_zeta(cls, nu, zeta, hbar=1.0):
-        if zeta <= 0:
-            raise ValueError(f"zeta must be positive, got {zeta}")
+        if not (0 < nu < math.inf and 0 < zeta < math.inf):
+            raise ValueError(f"nu and zeta must be positive and finite, got nu={nu}, zeta={zeta}")
         return cls(nu=nu, delta=zeta / (2.0 * nu), hbar=hbar)
 
 

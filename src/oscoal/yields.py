@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erf
 
 from .coalescence import p_kl_batch
 
@@ -342,6 +341,9 @@ def _depositor(edges, centers, params, smear):
     """
     widths = np.diff(edges)
     if smear:
+        # imported here, so that runs without smearing never load scipy
+        from scipy.special import erf
+
         d, hbar = params.delta, params.hbar
         # per-axis marginal of J integrates to erf differences across edges
         cdf = 0.5 * (1.0 + erf((edges[None, :] - centers[:, None]) * (d / hbar)))

@@ -2,6 +2,10 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ from oscoal.ho1d import OscParams
 from oscoal.selftest import REFERENCE_COEFFICIENTS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -263,16 +268,17 @@ class TestYieldsCommand:
         "extra",
         [["--budget", "0"], ["--pf-bins", "1:2"], ["--pf-bins", "a:b:c"], ["--pf-bins", "1:0:4"],
          ["--pf-bins", "nan:1:4"], ["--pf-bins", "0:1:0"], ["--smear"], ["--pf-axis", "0"],
-         ['{"nu": 1.0}'], ['{"delta": 0.5}'], ['{"zeta_override": 1.0, "delta": 0.5}']],
+         ['{"nu": 1.0}'], ['{"delta": 0.5}'], ['{"zeta_override": 1.0, "delta": 0.5}'],
+         ["3"], ['"nu delta"']],
         ids=["budget", "pf-bins-short", "pf-bins-text", "pf-bins-reversed", "pf-bins-nan",
              "pf-bins-empty", "smear-alone", "pf-axis-alone", "sidecar-no-delta",
-             "sidecar-no-nu", "sidecar-zeta-no-nu"],
+             "sidecar-no-nu", "sidecar-zeta-no-nu", "sidecar-number", "sidecar-string"],
     )
     def test_usage_errors_before_loading(self, extra, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
         sidecar = tmp_path / "p.json"
-        if extra[0].startswith("{"):
-            sidecar.write_text(extra[0])  # a params sidecar that lacks a required key
+        if not extra[0].startswith("--"):
+            sidecar.write_text(extra[0])  # a params sidecar that is not a usable object
             extra = []
         argv = ["yields", "--particles", "p.csv", "--params", str(sidecar)] + extra
         assert run(argv) == EXIT_USAGE
@@ -280,8 +286,12 @@ class TestYieldsCommand:
         if extra == ["--pf-bins", "1:2"]:
             assert "lo:hi:nbins" in err
         if sidecar.exists():
-            missing = "'nu'" if "nu" not in sidecar.read_text() else "'delta'"
-            assert str(sidecar) in err and missing in err
+            content = json.loads(sidecar.read_text())
+            if not isinstance(content, dict):
+                expected = "JSON object"
+            else:
+                expected = "'nu'" if "nu" not in content else "'delta'"
+            assert str(sidecar) in err and expected in err
 
     def test_missing_file_is_io_error(self, tmp_path):
         pjson = tmp_path / "params.json"
@@ -390,6 +400,60 @@ class TestParamHandling:
             monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
         monkeypatch.setattr("oscoal.selftest.run_selftest", _must_not_compute)
         assert run(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["--zeta", "nan"], ["--zeta", "inf"], ["--zeta", "0"], ["--nu", "nan"], ["--nu", "0"],
+         ["--nu=-inf"], ["--hbar", "inf"], ["--delta", "nan"], ["--delta", "0.5", "--zeta", "nan"]],
+        ids=["zeta-nan", "zeta-inf", "zeta-zero", "nu-nan", "nu-zero", "nu-minus-inf", "hbar-inf",
+             "delta-nan", "delta-with-zeta-nan"],
+    )
+    @pytest.mark.parametrize("command", ["prob", "wigner"])
+    def test_bad_params_before_compute(self, command, bad, tmp_path, monkeypatch, capsys):
+        for name in ("parse_grid_spec", "p_kl_batch", "export_grid"):
+            monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
+        out = tmp_path / "out.dat"
+        levels = ["--k", "0", "--l", "1"]
+        assert run([command, *levels, *bad, "--out", str(out)]) == EXIT_USAGE
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestColdStart:
+    def test_runs_without_smearing_never_import_scipy(self, tmp_path):
+        """Only the smeared spectrum deposit and the selftest need scipy.
+
+        A fresh interpreter is needed: this test session has imported scipy.
+        """
+        script = textwrap.dedent(
+            """
+            import sys
+            from pathlib import Path
+
+            import oscoal
+            from oscoal import cli
+
+            Path("parts.csv").write_text(
+                "species,rx,ry,rz,px,py,pz\\nu,0.1,0,0,0,0.2,0\\ndbar,0,0.3,0,0.1,0,0\\n")
+            Path("params.json").write_text('{"nu": 1.0, "delta": 0.5}')
+            grid = "r:0:1:3,{}:0:1:3,theta:0,0.5"
+            codes = [
+                cli.main(["coeff", "--k", "0", "--l", "1", "--out", "coeff.json"]),
+                cli.main(["prob", "--grid", grid.format("p"), "--out", "prob.dat"]),
+                cli.main(["wigner", "--k", "1", "--l", "1", "--grid", grid.format("q"),
+                          "--out", "wigner.dat"]),
+                cli.main(["yields", "--particles", "parts.csv", "--params", "params.json",
+                          "--pf-bins=-2:2:8", "--out", "yields.json"]),
+            ]
+            assert codes == [0, 0, 0, 0], codes
+            assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "yields.json").read_text())["spectra"]
 
 
 def _load_perfbench(name):

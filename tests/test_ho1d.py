@@ -59,6 +59,18 @@ class TestOscParams:
         with pytest.raises(ValueError):
             OscParams.from_zeta(1.0, -2.0)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["nu", "delta", "hbar"])
+    def test_rejects_zero_and_nonfinite(self, name, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            OscParams(**{"nu": 1.0, "delta": 0.5, "hbar": 1.0, name: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+    def test_from_zeta_checks_before_dividing(self, bad):
+        for nu, zeta in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                OscParams.from_zeta(nu, zeta)
+
 
 class TestPhase1D:
     def test_u_and_angle(self):
