@@ -50,7 +50,7 @@ _OPTIONS = {
     "--delta": dict(type=float, default=None, help="wave-packet width"),
     "--hbar": dict(type=float, default=1.0),
     "--zeta": dict(type=float, default=None,
-                   help="scale ratio 2*delta*nu (overrides --delta)"),
+                   help="scale ratio 2*delta*nu; must agree with --delta if both are given"),
     "--seed": dict(type=int, default=0),
     "--out": dict(type=str, default=None, help="output path (default stdout)"),
     "--format": dict(choices=("json", "csv"), default="json"),
@@ -67,15 +67,14 @@ def _add_opts(parser, names):
 
 
 def _resolve_params(args):
-    nu = args.nu
-    hbar = args.hbar
-    if args.zeta is not None and args.delta is not None:
-        if abs(2 * args.delta * nu - args.zeta) > 1e-12:
+    nu, hbar = args.nu, args.hbar
+    if args.zeta is not None:
+        params = OscParams.from_zeta(nu, args.zeta, hbar)
+        if args.delta is not None and not math.isclose(2 * args.delta * nu, args.zeta, rel_tol=1e-12):
             raise _UsageError(
                 f"--delta {args.delta} and --zeta {args.zeta} disagree (zeta = 2 delta nu)"
             )
-    if args.zeta is not None:
-        return OscParams.from_zeta(nu, args.zeta, hbar)
+        return params
     if args.delta is not None:
         return OscParams(nu=nu, delta=args.delta, hbar=hbar)
     return OscParams.from_zeta(nu, 1.0, hbar)
@@ -281,19 +280,21 @@ def cmd_yields(args):
     cfg = MCConfig(seed=args.seed, max_pairs=args.budget,
                    pf_bins=None if args.pf_bins is None else _pf_edges(args.pf_bins),
                    pf_axis=2 if args.pf_axis is None else args.pf_axis, smear=args.smear)
-    params_file = json.loads(Path(args.params).read_text())
+    params_file = json.loads(Path(args.params).read_text(), parse_int=float)
     if not isinstance(params_file, dict):
         raise _UsageError(f"params file {args.params} must hold a JSON object")
     required = ("nu",) if "zeta_override" in params_file else ("nu", "delta")
     missing = [key for key in required if key not in params_file]
     if missing:
         raise _UsageError(f"params file {args.params} lacks {', '.join(map(repr, missing))}")
-    nu = float(params_file["nu"])
-    hbar = float(params_file.get("hbar", 1.0))
+    for key in ("nu", "delta", "hbar", "zeta_override"):
+        if not isinstance(params_file.get(key, 1.0), float):  # JSON integers parse as floats
+            raise _UsageError(f"params file {args.params}: {key!r} must be a JSON number")
+    nu, hbar = params_file["nu"], params_file.get("hbar", 1.0)
     if "zeta_override" in params_file:
-        params = OscParams.from_zeta(nu, float(params_file["zeta_override"]), hbar)
+        params = OscParams.from_zeta(nu, params_file["zeta_override"], hbar)
     else:
-        params = OscParams(nu=nu, delta=float(params_file["delta"]), hbar=hbar)
+        params = OscParams(nu=nu, delta=params_file["delta"], hbar=hbar)
     particles = load_particles(args.particles)
     tags = np.unique(particles.species).tolist()
     if len(tags) != 2:

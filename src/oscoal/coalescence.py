@@ -35,13 +35,13 @@ independent of the amplitude recurrence of `ho1d.quasi_amplitudes`.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .expansion import _coeff_matrix, bilinear_assemble, bilinear_table
 from .ho1d import _wigner_poly, quasi_amplitudes
 from .ho1d import quasi_prob_table  # unused here; perfbench/spans.py wraps this name
+from .specfun import _gh_grid
 
 __all__ = [
     "WavePacket",
@@ -263,12 +263,7 @@ def p_klm_differential(k, l, m, p_f, packets, params):
 # ---------------------------------------------------------------------------
 # Independent quadrature oracle.
 
-@lru_cache(maxsize=8)
-def _gh_nodes(n):
-    return np.polynomial.hermite.hermgauss(n)
-
-
-def _quasi_prob_quad(n_prime, n, r_i, p_i, params, nodes=None):
+def _quasi_prob_quad(n_prime, n, r_i, p_i, params):
     """1-D quasi-probability by quadrature of the Wigner-overlap integral.
 
     P_{n' n} = 2 e^{-r^2/(4 d^2) - 4 d^2 p^2/h^2} Int dx dq W_{n' n}(x, q)
@@ -282,9 +277,8 @@ def _quasi_prob_quad(n_prime, n, r_i, p_i, params, nodes=None):
     module notes); diagonal entries and bilinear assemblies agree directly.
     """
     nu, hbar, d = params.nu, params.hbar, params.delta
-    if nodes is None:
-        nodes = n_prime + n + 8
-    t, w = _gh_nodes(nodes)
+    t, w = _gh_grid(n_prime + n + 8, 1)
+    t = t[:, 0]
     ax = nu**2 + 1.0 / (4 * d * d)
     bx = r_i / (2 * d * d)
     ak = 1.0 / (hbar * nu) ** 2 + 4 * d * d / hbar**2

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import GaussianRational, double_factorial
+from .specfun import GaussianRational, _gh_grid, _read_only, double_factorial
 
 __all__ = [
     "Ame",
@@ -276,10 +276,8 @@ def coeff_oracle(state, triple):
 @lru_cache(maxsize=None)
 def _oracle_nodes(n):
     """Nodes, weights and exp(|t|^2) of the n^3 Gauss-Hermite oracle grid."""
-    from .wigner3d import _gh_grid3
-
-    tt, w3 = _gh_grid3(n)
-    return _read_only(tt, w3, np.exp(np.sum(tt * tt, axis=1)))
+    tt, w3 = _gh_grid(n)
+    return (tt, w3) + _read_only(np.exp(np.sum(tt * tt, axis=1)))
 
 
 @lru_cache(maxsize=None)
@@ -293,12 +291,6 @@ def _oracle_grid(state):
 
     tt, w3, gauss = _oracle_nodes((state.energy_quantum + state.l) // 2 + 9)
     return (tt, w3, gauss) + _read_only(_psi_cartesian(state, tt, OscParams(nu=1.0)))
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ import numpy as np
 from . import coalescence, expansion, ho1d, wigner3d, yields
 from .expansion import Ame, FeTriple
 from .ho1d import OscParams, Phase1D
-from .specfun import GaussianRational, gauss_2f1_neg1, spherical_harmonic
+from .specfun import GaussianRational, _gh_grid, gauss_2f1_neg1, spherical_harmonic
 from .wigner3d import PhasePoint3D
 
 __all__ = ["CheckResult", "run_selftest", "all_states_through", "REFERENCE_COEFFICIENTS"]
@@ -236,41 +236,25 @@ def _check_spherical_harmonics():
 
 
 def _check_wigner1d():
-    from scipy.integrate import quad
-
     params = OscParams(nu=1.2, delta=0.4, hbar=0.9)
 
-    def transform(npr, n, x, q):
-        def f(xp):
-            val = (
-                ho1d.phi_n(npr, x + xp / 2, params)
-                * ho1d.phi_n(n, x - xp / 2, params)
-                * np.exp(1j * xp * q / params.hbar)
-            )
-            return val
-
-        span = 18.0 / params.nu
-        re, _ = quad(lambda s: f(s).real, -span, span, limit=200, epsabs=1e-13)
-        im, _ = quad(lambda s: f(s).imag, -span, span, limit=200, epsabs=1e-13)
-        return complex(re, im) / (2 * math.pi * params.hbar)
+    def pair(npr, n):
+        return lambda a, b: ho1d.phi_n(npr, a[:, 0], params) * ho1d.phi_n(n, b[:, 0], params)
 
     md = 0.0
     for npr, n, x, q in ((0, 0, 0.0, 0.0), (2, 1, 0.4, -0.8), (1, 3, -0.6, 0.5), (2, 2, 0.9, 0.3)):
-        ph = Phase1D(x, q)
-        md = max(md, abs(ho1d.wigner_1d(npr, n, ph, params) - transform(npr, n, x, q)))
+        transform = wigner3d._transform_oracle(pair(npr, n), (x,), (q,), params, nodes=40)
+        md = max(md, abs(ho1d.wigner_1d(npr, n, Phase1D(x, q), params) - transform))
 
     # normalization of the diagonals by Gauss-Hermite in xi = nu x, eta = q/(hbar nu)
-    t, w = np.polynomial.hermite.hermgauss(24)
+    tt, w2 = _gh_grid(24, 2)
     for n in range(5):
-        vals = np.empty((len(t), len(t)))
-        for i, xi in enumerate(t):
-            for j, eta in enumerate(t):
-                ph = Phase1D(xi / params.nu, eta * params.hbar * params.nu)
-                vals[i, j] = ho1d.wigner_1d(n, n, ph, params).real * math.exp(
-                    xi**2 + eta**2
-                )
-        norm = np.sum(np.outer(w, w) * vals) * params.hbar
-        md = max(md, abs(norm - 1.0))
+        vals = [
+            ho1d.wigner_1d(n, n, Phase1D(xi / params.nu, eta * params.hbar * params.nu),
+                           params).real * math.exp(xi**2 + eta**2)
+            for xi, eta in tt
+        ]
+        md = max(md, abs(float(w2 @ vals) * params.hbar - 1.0))
     return CheckResult("1-D Wigner closed form vs transform; normalization", md <= 1e-10, md, 1e-10)
 
 
@@ -306,17 +290,14 @@ def _check_quasi_probabilities():
     ok = md <= 1e-12
     # phase-space sum rule, quadrature
     md_sum = 0.0
-    t, w = np.polynomial.hermite.hermgauss(40)
+    tt, w2 = _gh_grid(40, 2)
+    e = np.exp(np.sum(tt * tt, axis=1))
     for z in (0.5, 1.0, 2.0):
         pz = OscParams.from_zeta(1.0, z, hbar=1.0)
         s = math.sqrt(1 + z * z)
-        rs = t * s
-        ps = t * s / z
-        R, P = np.meshgrid(rs, ps, indexing="ij")
         for n in range(4):
-            tab = ho1d.quasi_prob_table(R, P, pz, n)[n, n].real
-            e = np.exp(np.add.outer(t**2, t**2))
-            total = float(np.sum(np.outer(w, w) * e * tab)) * s * (s / z)
+            tab = ho1d.quasi_prob_table(tt[:, 0] * s, tt[:, 1] * s / z, pz, n)[n, n].real
+            total = float(w2 @ (e * tab)) * s * (s / z)
             md_sum = max(md_sum, abs(total - 2 * math.pi))
     return CheckResult(
         "quasi-probabilities: closed form, symmetry, sum rule",
@@ -386,7 +367,7 @@ def _check_wigner3d_oracle():
     params = OscParams(nu=1.0, delta=0.5)
     rng = np.random.default_rng(123)
     md = 0.0
-    for k, l in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    for k, l in wigner3d.CLOSED_FORM_STATES:
         for _ in range(3):
             pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             md = max(md, abs(wigner3d.wigner_kl(k, l, pt, params)

@@ -6,6 +6,7 @@ the exact (arbitrary-precision) pieces of the coefficient algebra: double
 factorials and Gaussian-rational numbers a/b + (c/d)i.  The terminating Gauss
 hypergeometric sum at argument -1, `gauss_2f1_neg1`, is the test oracle for
 the binomial sum inside the coefficients (`expansion._binomial_alternating_sum`).
+`_gh_grid` is the one Gauss-Hermite rule behind every quadrature oracle.
 
 All floating-point routines accept scalars or numpy arrays and are pure
 functions with no global state.
@@ -13,6 +14,7 @@ functions with no global state.
 
 import math
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -111,6 +113,24 @@ def spherical_harmonic(l, m, theta, phi):
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+@lru_cache(maxsize=None)
+def _gh_grid(n, dim=3):
+    """Read-only nodes (n**dim, dim) and weights of the tensor Gauss-Hermite rule.
+
+    The weights multiply in axis order, ((w_i w_j) w_k).  The cache is
+    unbounded: the 1-D P_kl oracle asks for a different n per matrix entry.
+    """
+    t, w = np.polynomial.hermite.hermgauss(n)
+    nodes = np.stack(np.meshgrid(*[t] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    return _read_only(nodes, reduce(np.multiply.outer, [w] * dim).ravel())
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def double_factorial(n):

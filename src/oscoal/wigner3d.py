@@ -35,7 +35,7 @@ import numpy as np
 from .expansion import Ame, _coeff_matrix, bilinear_assemble, bilinear_table, d_coeff_reduced
 from .expansion import degenerate_subspace
 from .ho1d import Phase1D, wigner_1d
-from .specfun import GaussianRational, assoc_laguerre, double_factorial, spherical_harmonic
+from .specfun import GaussianRational, _gh_grid, assoc_laguerre, double_factorial, spherical_harmonic
 
 __all__ = [
     "PhasePoint3D",
@@ -407,48 +407,58 @@ def wigner_kl_closed(k, l, r2, q2, rq, params):
 # ---------------------------------------------------------------------------
 # Independent transform oracle.
 
-@lru_cache(maxsize=4)
-def _gh_grid3(n):
-    t, w = np.polynomial.hermite.hermgauss(n)
-    tt = np.stack([g.ravel() for g in np.meshgrid(t, t, t, indexing="ij")], axis=-1)
-    w3 = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    return tt, w3
+def _transform_oracle(pair, r_vec, q_vec, params, nodes=24):
+    """Int d^dr'/(2 pi hbar)^d e^{i r'.q/hbar} pair(r + r'/2, r - r'/2), d = len(r_vec).
 
-
-def wigner_klm_oracle(state, pt, params, nodes=24):
-    """W_klm by direct quadrature of the defining transform integral.
-
-    Evaluates Int d^3r'/(2 pi hbar)^3 e^{i r'.q/hbar} Psi*(r + r'/2)
-    Psi(r - r'/2) on a tensor Gauss-Hermite grid; the plane-wave factor
-    converges superexponentially with the node count at moderate
-    |q|/(hbar nu).  Fully independent of the expansion coefficients and of
-    the 1-D Wigner closed forms.
+    The defining Wigner transform of a kernel pair(a, b) of two (nodes**d, d)
+    point arrays.  With the Gaussians stripped, Gauss-Hermite integrates a
+    polynomial times the plane wave: superexponential at moderate |q|/(hbar nu).
     """
     nu, hbar = params.nu, params.hbar
-    tt, w3 = _gh_grid3(nodes)
+    r_vec, q_vec = np.asarray(r_vec, dtype=float), np.asarray(q_vec, dtype=float)
+    d = len(r_vec)
+    tt, w = _gh_grid(nodes, d)
     rp = (2.0 / nu) * tt
-    r_vec = np.array(pt.r_vec)
-    q_vec = np.array(pt.q_vec)
-    a_pts = r_vec + 0.5 * rp
-    b_pts = r_vec - 0.5 * rp
+    a_pts, b_pts = r_vec + 0.5 * rp, r_vec - 0.5 * rp
     # strip the Gaussians so the remaining factor is polynomial in r'
-    strip = np.exp(
-        0.5 * nu**2 * (np.sum(a_pts**2, axis=-1) + np.sum(b_pts**2, axis=-1))
-        - nu**2 * np.sum(r_vec**2)
-    )
+    strip = np.exp(0.5 * nu**2 * (np.sum(a_pts**2, axis=-1) + np.sum(b_pts**2, axis=-1))
+                   - nu**2 * np.sum(r_vec**2))
     phase = np.exp(1j * (rp @ q_vec) / hbar)
-    vals = np.conj(_psi_cartesian(state, a_pts, params)) * _psi_cartesian(state, b_pts, params)
-    total = np.sum(w3 * phase * vals * strip)
-    total *= (2.0 / nu) ** 3 / (2.0 * math.pi * hbar) ** 3
+    total = np.sum(w * phase * pair(a_pts, b_pts) * strip)
+    total *= (2.0 / nu) ** d / (2.0 * math.pi * hbar) ** d
     return complex(total)
 
 
-def wigner_kl_oracle(k, l, pt, params, nodes=24):
-    """m-averaged transform oracle."""
-    vals = [
-        wigner_klm_oracle(Ame(k, l, m), pt, params, nodes) for m in range(-l, l + 1)
-    ]
-    return sum(v.real for v in vals) / (2 * l + 1)
+def wigner_klm_oracle(state, pt, params):
+    """W_klm as the transform of Psi*(r + r'/2) Psi(r - r'/2), by quadrature.
+
+    Independent of the expansion coefficients and of the 1-D Wigner closed forms.
+    """
+    def pair(a, b):
+        return np.conj(_psi_cartesian(state, a, params)) * _psi_cartesian(state, b, params)
+
+    return _transform_oracle(pair, pt.r_vec, pt.q_vec, params)
+
+
+def wigner_kl_oracle(k, l, pt, params):
+    """m-averaged transform oracle: the whole multiplet in one quadrature.
+
+    By the addition theorem, sum_m Psi*_klm(a) Psi_klm(b) =
+    Psi_kl0(|a| z) Psi_kl0(|b| z) P_l(cos g), g the angle between a and b;
+    cos g = 0 where |a||b| = 0 (there Psi_kl0 = 0 for l > 0, and P_0 = 1).
+    As independent of the expansion coefficients as `wigner_klm_oracle`.
+    """
+    radial = Ame(k, l, 0)
+    y_l0 = math.sqrt((2 * l + 1) / (4.0 * math.pi))
+
+    def pair(a, b):
+        ra, rb = np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1)
+        rr = ra * rb
+        cos_g = np.divide(np.sum(a * b, axis=-1), rr, out=np.zeros_like(rr), where=rr > 0)
+        legendre = spherical_harmonic(l, 0, np.arccos(np.clip(cos_g, -1.0, 1.0)), 0) / y_l0
+        return psi_klm(radial, ra, 0, 0, params) * psi_klm(radial, rb, 0, 0, params) * legendre
+
+    return _transform_oracle(pair, pt.r_vec, pt.q_vec, params).real / (2 * l + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +487,7 @@ def _normalization_quadrature(poly):
     Exact up to roundoff for degree <= 11 in each of the six reduced
     variables, which covers every level with N <= 5.
     """
-    tt, w3 = _gh_grid3(6)
+    tt, w3 = _gh_grid(6)
     a = np.sum(tt * tt, axis=1)
     c = (tt @ tt.T) ** 2
     vals = _eval_invariant_poly(poly, a[:, None], a[None, :], c)

@@ -293,6 +293,28 @@ class TestYieldsCommand:
                 expected = "'nu'" if "nu" not in content else "'delta'"
             assert str(sidecar) in err and expected in err
 
+    @pytest.mark.parametrize(
+        "sidecar, key",
+        [('{"nu": null, "delta": 0.5}', "nu"), ('{"nu": 1.0, "delta": [0.5]}', "delta"),
+         ('{"nu": 1.0, "delta": 0.5, "zeta_override": null}', "zeta_override"),
+         ('{"nu": "abc", "delta": 0.5}', "nu"), ('{"nu": 1.0, "delta": 0.5, "hbar": true}', "hbar")],
+        ids=["null", "list", "zeta-null", "string", "bool"],
+    )
+    def test_sidecar_value_not_a_number(self, sidecar, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
+        path = tmp_path / "p.json"
+        path.write_text(sidecar)
+        assert run(["yields", "--particles", "p.csv", "--params", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
+    def test_sidecar_integer_beyond_float_range(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
+        path = tmp_path / "p.json"
+        path.write_text('{"nu": 1' + "0" * 400 + ', "delta": 0.5}')
+        assert run(["yields", "--particles", "p.csv", "--params", str(path)]) == EXIT_USAGE
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         pjson = tmp_path / "params.json"
         pjson.write_text('{"nu": 1.0, "delta": 0.5}')
@@ -378,6 +400,15 @@ class TestParamHandling:
         )
         assert code == EXIT_OK
 
+    def test_large_consistent_delta_zeta_ok(self, tmp_path):
+        """2 delta nu is compared with zeta to a relative tolerance."""
+        grid = ["--k", "0", "--l", "0", "--grid", "r:0:1:3,p:0:1:3,theta:0"]
+        out = tmp_path / "p.dat"
+        argv = ["prob", "--nu", "3", "--delta", "4096.3", "--zeta", "24577.8", *grid]
+        assert run([*argv, "--out", str(out)]) == EXIT_OK
+        argv = ["prob", "--nu", "3", "--delta", "4096.3", "--zeta", "24577.81", *grid]
+        assert run([*argv, "--out", str(tmp_path / "q.dat")]) == EXIT_USAGE
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -421,7 +452,7 @@ class TestParamHandling:
 
 class TestColdStart:
     def test_runs_without_smearing_never_import_scipy(self, tmp_path):
-        """Only the smeared spectrum deposit and the selftest need scipy.
+        """Only the smeared spectrum deposit needs scipy; the selftest does not.
 
         A fresh interpreter is needed: this test session has imported scipy.
         """
@@ -444,8 +475,9 @@ class TestColdStart:
                           "--out", "wigner.dat"]),
                 cli.main(["yields", "--particles", "parts.csv", "--params", "params.json",
                           "--pf-bins=-2:2:8", "--out", "yields.json"]),
+                cli.main(["selftest"]),
             ]
-            assert codes == [0, 0, 0, 0], codes
+            assert codes == [0, 0, 0, 0, 0], codes
             assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
             """
         )

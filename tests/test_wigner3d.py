@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from oscoal.wigner3d import (
     psi_klm,
     wigner_kl,
     wigner_kl_closed,
+    wigner_kl_oracle,
     wigner_klm,
     wigner_klm_oracle,
 )
@@ -118,6 +120,16 @@ class TestWignerKlm:
             assert a == pytest.approx(b, abs=1e-8)
 
 
+    def test_multiplet_oracle_is_mean_of_per_m_oracle(self, rng):
+        """The one-pass addition-theorem oracle against the per-m definition."""
+        p = OscParams(nu=1.3, delta=0.5, hbar=0.8)
+        for k, l in CLOSED_FORM_STATES:
+            for _ in range(3):
+                pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+                per_m = sum(wigner_klm_oracle(Ame(k, l, m), pt, p).real for m in range(-l, l + 1))
+                assert wigner_kl_oracle(k, l, pt, p) == pytest.approx(per_m / (2 * l + 1), abs=1e-12)
+
+
 class TestWignerKl:
     def test_peak_value(self, params):
         got = wigner_kl(0, 0, PhasePoint3D((0, 0, 0), (0, 0, 0)), params)
@@ -208,6 +220,39 @@ class TestClosedForms:
                 a = wigner_kl(k, l, pt, p)
                 b = wigner_kl_closed(k, l, pt.r2, pt.q2, pt.rq, p)
                 assert a == pytest.approx(b, abs=1e-12)
+
+
+def _flow_generator(poly):
+    """dP/da - dP/db + (b - a) dP/dc, as a dict of its nonzero coefficients."""
+    out = defaultdict(Fraction)
+    for (i, j, h), cf in poly.items():
+        if i:
+            out[(i - 1, j, h)] += i * cf
+        if j:
+            out[(i, j - 1, h)] -= j * cf
+        if h:
+            out[(i, j + 1, h - 1)] += h * cf
+            out[(i + 1, j, h - 1)] -= h * cf
+    return {key: v for key, v in out.items() if v}
+
+
+class TestHarmonicFlow:
+    """An eigenstate's W is constant along xi -> xi cos f + eta sin f,
+    eta -> eta cos f - xi sin f.  On P(a, b, c) = W_kl/W_00 the generator of
+    that flow is 2 (xi.eta) (dP/da - dP/db + (b - a) dP/dc), which must vanish
+    identically; equivalently P is a polynomial in a + b and ab - c."""
+
+    def test_frozen_tables(self):
+        for k, l in CLOSED_FORM_STATES:
+            assert _flow_generator(closed_form_poly(k, l)) == {}
+
+    @pytest.mark.parametrize("N", range(9))
+    def test_derived_levels(self, N):
+        for k, l in shell_states(N):
+            assert _flow_generator(derive_invariant_poly(k, l)) == {}
+
+    def test_printed_11_tabulation_violates_it(self):
+        assert _flow_generator(REFERENCE_TABULATION[(1, 1)]) != {}
 
 
 class TestSymmetries:
