@@ -156,6 +156,8 @@ def _coeff_rows(states, verify):
 def cmd_coeff(args):
     if args.N is None and (args.k is None or args.l is None):
         raise _UsageError("coeff needs either --N or both --k and --l")
+    if args.N is not None and (args.k is not None or args.l is not None):
+        raise _UsageError("coeff takes either --N or --k and --l, not both")
     states = []
     if args.N is not None:
         if args.N < 0 or args.N > 12:

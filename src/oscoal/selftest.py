@@ -401,7 +401,9 @@ def _check_multiplet_trace():
                 for k, l in coalescence.shell_states(N)
             )
             md = max(md, abs(direct - averaged))
-    return CheckResult("degenerate multiplet trace identity", md <= 1e-12, md, 1e-12)
+    # exact: sum_{2k+l=N} (2l+1) W_kl / W_00 = (-1)^N L_N^(2)(2(a+b))
+    exact_ok = not any(wigner3d._shell_trace_residue(N) for N in range(9))
+    return CheckResult("degenerate multiplet trace identity", exact_ok and md <= 1e-12, md, 1e-12)
 
 
 def _check_coalescence_closed():

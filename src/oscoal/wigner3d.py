@@ -13,12 +13,13 @@ nu r <-> q/(hbar nu); it depends on the point only through the invariants
     a = nu^2 r^2,  b = q^2/(hbar nu)^2,  c = (r.q)^2/hbar^2.
 
 For each (k, l) the ratio W_kl / W_00 is a polynomial in (a, b, c) with
-rational coefficients.  `derive_invariant_poly` computes that polynomial in
-exact rational arithmetic from the factorized sum restricted to one
-canonical slice of phase space, where a triangular solve reads off the
-coefficients and expanding them back onto the slice checks every slice
-monomial.  The coefficient tables shipped in `wigner_kl_closed` were
-generated that way and the self test regenerates them on demand.  Their
+rational coefficients.  `derive_invariant_poly` computes it exactly from the
+zeta = 1 coalescence probability: in the reduced variables x = (xi, eta),
+P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
+e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, and the
+inverse heat flow P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite
+series on polynomials.  The coefficient tables shipped in `wigner_kl_closed`
+were generated that way and the self test regenerates them on demand.  Their
 phase-space integral is 1 exactly, by a moment identity
 (`_normalization_exact`).  Two terms of the commonly tabulated printed forms
 for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu) mirror
@@ -32,10 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expansion import Ame, _coeff_matrix, bilinear_assemble, bilinear_table, d_coeff_reduced
-from .expansion import degenerate_subspace
+from .expansion import Ame, _coeff_matrix, bilinear_assemble, bilinear_table
+from .expansion import d_coeff_reduced  # unused here; perfbench/spans.py wraps this name
 from .ho1d import Phase1D, wigner_1d
-from .specfun import GaussianRational, _gh_grid, assoc_laguerre, double_factorial, spherical_harmonic
+from .specfun import _gh_grid, assoc_laguerre, double_factorial, spherical_harmonic
 
 __all__ = [
     "PhasePoint3D",
@@ -170,114 +171,107 @@ def wigner_kl(k, l, pt, params):
 # ---------------------------------------------------------------------------
 # Exact derivation of the invariant polynomials W_kl / W_00.
 
-def _axis_poly(n_prime, n):
-    """Radical-free polynomial of one axis factor, as {(e_xi, e_eta): GR}.
-
-    For n >= n' this is (-1)^{n'} n'! (xi - i eta)^{n-n'} L_{n'}^{(n-n')}(u)
-    with u = 2 xi^2 + 2 eta^2, the conjugate for n' > n; the omitted factor
-    sqrt(2)^{|n-n'|} is returned as the half-power count h.
-    """
-    lo, hi = min(n_prime, n), max(n_prime, n)
-    d = hi - lo
-    isign = -1 if n >= n_prime else 1
-    # (xi + isign * i * eta)^d
-    lin = {(d - j, j): GaussianRational.i_power(j) * Fraction(math.comb(d, j) * isign**j)
-           for j in range(d + 1)}
-    # the Laguerre polynomial in u, expanded into xi, eta monomials
-    lag = {}
-    for i in range(lo + 1):
-        scale = Fraction((-2) ** i * math.comb(lo + d, lo - i), math.factorial(i))
-        for j in range(i + 1):
-            lag[(2 * j, 2 * (i - j))] = scale * math.comb(i, j)
-    out = {}
-    pref = Fraction((-1) ** lo * math.factorial(lo))
-    for (e1, e2), c1 in lin.items():
-        for (f1, f2), c2 in lag.items():
-            key = (e1 + f1, e2 + f2)
-            out[key] = out.get(key, GaussianRational(0)) + c1 * (c2 * pref)
-    return out, d
-
-
 def _invariant_basis(N):
-    return [
-        (i, j, h)
-        for h in range(N // 2 + 1)
-        for i in range(N - 2 * h + 1)
-        for j in range(N - 2 * h - i + 1)
-    ]
+    """Monomials a^i b^j c^h of degree 2(i + j) + 4h <= 2N, in a fixed order."""
+    return [(i, j, h) for h in range(N // 2 + 1) for i in range(N - 2 * h + 1)
+            for j in range(N - 2 * h - i + 1)]
 
 
-def _solve_on_slice(slice_poly, N):
-    """Invariant coefficients {(i, j, h): Fraction} of degree <= N from a slice.
+def _mul(p, q):
+    """Product of two polynomials {(i, j, h): Fraction} in (a, b, c)."""
+    out = {}
+    for (i1, j1, h1), c1 in p.items():
+        for (i2, j2, h2), c2 in q.items():
+            key = (i1 + i2, j1 + j2, h1 + h2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
-    `slice_poly` maps (e_x, e_y1, e_y2) to rationals on the slice
-    xi = (x, 0, 0), eta = (y1, y2, 0), where a^i b^j c^h =
-    sum_s C(j, s) x^{2(i+h)} y1^{2(h+s)} y2^{2(j-s)}.  The coefficient of
-    x^{2(i+h)} y1^{2h} y2^{2j} is sum_s C(j+s, s) coef(i+s, j+s, h-s), solved
-    in increasing h; the solution expanded back must equal the whole slice,
-    else ArithmeticError.
+
+def _husimi_poly(k, l):
+    """p = e^v P_kl at zeta = 1, exactly, as a polynomial in (a, b, c).
+
+    p = (2l+1) s^k L_l / (2^k k! (2k+2l+1)!!) with v = (a+b)/2,
+    s = v^2 - t = (a-b)^2/4 + c and
+    L_l = 2^{-l} sum_{i <= l/2} (-1)^i C(l, i) C(2l-2i, l) v^{l-2i} s^i.
     """
-    coef = {}
-    for i, j, h in _invariant_basis(N):
-        val = Fraction(slice_poly.get((2 * (i + h), 2 * h, 2 * j), 0))
-        for s in range(1, h + 1):
-            val -= math.comb(j + s, s) * coef[(i + s, j + s, h - s)]
-        coef[(i, j, h)] = val
-    back = {}
-    for (i, j, h), cf in coef.items():
-        for s in range(j + 1):
-            key = (2 * (i + h), 2 * (h + s), 2 * (j - s))
-            back[key] = back.get(key, 0) + math.comb(j, s) * cf
-    if {key: v for key, v in back.items() if v} != {key: v for key, v in slice_poly.items() if v}:
-        raise ArithmeticError("invariant ansatz is inconsistent with the factorized sum")
-    return {key: cf for key, cf in coef.items() if cf}
+    v = {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 2)}
+    s = {(2, 0, 0): Fraction(1, 4), (1, 1, 0): Fraction(-1, 2), (0, 2, 0): Fraction(1, 4),
+         (0, 0, 1): Fraction(1)}
+    norm = Fraction(2 * l + 1, 2 ** (k + l) * math.factorial(k))
+    norm /= double_factorial(2 * k + 2 * l + 1)
+    out = {}
+    for i in range(l // 2 + 1):
+        term = {(0, 0, 0): norm * (-1) ** i * math.comb(l, i) * math.comb(2 * l - 2 * i, l)}
+        for factor in [v] * (l - 2 * i) + [s] * (k + i):
+            term = _mul(term, factor)
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _laplacian(poly):
+    """The 6-D Laplacian in (xi, eta) of a polynomial in (a, b, c).
+
+    On a^i b^j c^h it is i(4i+2+8h) a^{i-1} b^j c^h + j(4j+2+8h) a^i b^{j-1} c^h
+    + h(4h-2) (a^{i+1} b^j + a^i b^{j+1}) c^{h-1}.
+    """
+    out = {}
+    for (i, j, h), c in poly.items():
+        for key, f in (((i - 1, j, h), i * (4 * i + 2 + 8 * h)),
+                       ((i, j - 1, h), j * (4 * j + 2 + 8 * h)),
+                       ((i + 1, j, h - 1), h * (4 * h - 2)),
+                       ((i, j + 1, h - 1), h * (4 * h - 2))):
+            if f:
+                out[key] = out.get(key, 0) + f * c
+    return {key: c for key, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
 def derive_invariant_poly(k, l):
     """Exact polynomial P with W_kl = W_00 * P(a, b, c).
 
-    The radical parts of the pairing coefficients cancel against the
-    factorial prefactors of the 1-D closed forms, so the factorized sum is a
-    Gaussian-rational polynomial in xi = nu r, eta = q/(hbar nu).  It is
-    built only on the slice xi = (x, 0, 0), eta = (y1, y2, 0), where axis 3
-    keeps its constant term (pairs with n3 = n3') and axis 2 its eta powers,
-    and matched onto the invariants by `_solve_on_slice`.  Returns
+    In the reduced variables x = (xi, eta) the zeta = 1 coalescence
+    probability is the overlap of the multiplet with a wave packet,
+    P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
+    e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta.
+    Inverting that Gaussian convolution,
+
+        P(x) = (e^{-Delta/2} p)(2x) / (2l+1),   p = e^v P_kl  (`_husimi_poly`),
+
+    where the series stops because Delta lowers the degree.  Returns
     {(i, j, h): Fraction} for a^i b^j c^h, in `_invariant_basis` order.
     """
     if k < 0 or l < 0:
         raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
-    N = 2 * k + l
-    triples = degenerate_subspace(N)
-    total = {}
-    for tp in triples:
-        for t in triples:
-            if t.n3 != tp.n3:
-                continue
-            w = d_coeff_reduced(k, l, t, tp)
-            if not w:
-                continue
-            ax1, h1 = _axis_poly(tp.n1, t.n1)
-            ax2, h2 = _axis_poly(tp.n2, t.n2)
-            if (h1 + h2) % 2 != 0:
-                raise ArithmeticError("odd half-power cannot appear inside a shell")
-            scale = w * _axis_poly(t.n3, t.n3)[0][(0, 0)] * Fraction(2) ** ((h1 + h2) // 2)
-            for (e1, f1), c1 in ax1.items():
-                for (e2, f2), c2 in ax2.items():
-                    if e2 == 0:
-                        key = (e1, f1, f2)
-                        total[key] = total.get(key, GaussianRational(0)) + c1 * c2 * scale
-    clean = {}
-    for key, c in total.items():
-        if c.im != 0:
-            raise ArithmeticError(f"nonreal monomial {key} in m-averaged distribution")
-        if c.re != 0:
-            clean[key] = c.re
-    return _solve_on_slice(clean, N)
+    term, total, n = _husimi_poly(k, l), {}, 0
+    while term:
+        for (i, j, h), c in term.items():
+            total[(i, j, h)] = total.get((i, j, h), 0) + c * 4 ** (i + j + 2 * h)
+        n += 1
+        term = {key: -c / (2 * n) for key, c in _laplacian(term).items()}
+    return {key: total[key] / (2 * l + 1) for key in _invariant_basis(2 * k + l) if total.get(key)}
+
+
+def _shell_trace_residue(N):
+    """sum_{2k+l=N} (2l+1) W_kl/W_00 - (-1)^N L_N^(2)(2(a+b)), exactly, zeros dropped.
+
+    The Laguerre term is the Wigner function of the projector onto shell N
+    over W_00, so the residue of the derived polynomials must be {}.
+    """
+    out = {}
+    for k in range(N // 2 + 1):
+        for key, cf in derive_invariant_poly(k, N - 2 * k).items():
+            out[key] = out.get(key, 0) + (2 * N - 4 * k + 1) * cf
+    for m in range(N + 1):
+        cf = Fraction((-1) ** (N + m) * math.comb(N + 2, N - m) * 2**m, math.factorial(m))
+        for i in range(m + 1):
+            out[(i, m - i, 0)] = out.get((i, m - i, 0), 0) - cf * math.comb(m, i)
+    return {key: c for key, c in out.items() if c}
 
 
 # Coefficient tables for W_kl / W_00 in the invariants (a, b, c), generated by
-# derive_invariant_poly and frozen here; the selftest regenerates and compares.
+# the inverse heat flow of derive_invariant_poly and frozen here; the selftest
+# regenerates and compares.
 CLOSED_FORM_STATES = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
 
 _CLOSED_FORM_COEFFS = {

@@ -87,6 +87,14 @@ class TestCoeffCommand:
         assert run(["coeff", "--k", "5", "--l", "4"]) == EXIT_USAGE
         assert run(["coeff", "--k", "0", "--l", "1", "--m", "7"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "extra", [["--k", "5"], ["--l", "0"], ["--k", "5", "--l", "0"]], ids=["k", "l", "k-l"]
+    )
+    def test_shell_with_k_or_l_rejected(self, extra, monkeypatch):
+        # --N would silently override --k and --l
+        monkeypatch.setattr("oscoal.cli._coeff_rows", _must_not_compute)
+        assert run(["coeff", "--N", "1", *extra, "--format", "csv"]) == EXIT_USAGE
+
     def test_shell_with_m_filters_states(self, tmp_path):
         out = tmp_path / "c.json"
         assert run(["coeff", "--N", "2", "--m", "2", "--out", str(out)]) == EXIT_OK

@@ -20,7 +20,7 @@ from oscoal.coalescence import (
     v_and_t,
 )
 from oscoal.expansion import bilinear_assemble, bilinear_table
-from oscoal.ho1d import OscParams, quasi_prob_table
+from oscoal.ho1d import OscParams, quasi_amplitudes, quasi_prob_table
 
 LEVELS_N3 = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
 
@@ -244,6 +244,24 @@ class TestPoissonSum:
                 assert poisson_sum(N, rel, params) == pytest.approx(
                     math.exp(-v) * v**N / math.factorial(N), abs=1e-10
                 )
+
+    @pytest.mark.parametrize("zeta", [0.25, 1.0, 3.0])
+    def test_shell_sum_at_every_zeta(self, zeta, rng):
+        # by unitarity of C the levels of shell N sum to the N-th term of the
+        # convolution of the three 1-D sequences |g_n|^2; no 3-D coefficient
+        # enters that side
+        p = OscParams.from_zeta(1.3, zeta, 0.9)
+        rel_r, rel_p = rng.uniform(-1.5, 1.5, (2, 500, 3))
+        batch = p_kl_batch([lv for N in range(9) for lv in shell_states(N)], rel_r, rel_p, p)
+        g2 = np.abs(quasi_amplitudes(rel_r.T, rel_p.T, p, 8)) ** 2
+        for N in range(9):
+            expected = sum(
+                g2[n1, 0] * g2[n2, 1] * g2[N - n1 - n2, 2]
+                for n1 in range(N + 1)
+                for n2 in range(N + 1 - n1)
+            )
+            got = sum(batch[lv] for lv in shell_states(N))
+            assert np.max(np.abs(got - expected)) <= 1e-14, N
 
     def test_completeness(self, params):
         rel = PhasePoint.from_invariants(1.2, 1.1, 0.7)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
-from oscoal.coalescence import shell_states
+from oscoal.coalescence import p_kl_batch, shell_states
 from oscoal.expansion import Ame, coeff, degenerate_subspace
 from oscoal.gridio import read_wigner_grid, write_wigner_grid
 from oscoal.ho1d import OscParams, phi_n
@@ -14,9 +14,11 @@ from oscoal.wigner3d import (
     CLOSED_FORM_STATES,
     PhasePoint3D,
     REFERENCE_TABULATION,
+    _eval_invariant_poly,
+    _husimi_poly,
     _normalization_exact,
     _normalization_quadrature,
-    _solve_on_slice,
+    _shell_trace_residue,
     closed_form_poly,
     derive_invariant_poly,
     export_grid,
@@ -246,7 +248,7 @@ class TestHarmonicFlow:
         for k, l in CLOSED_FORM_STATES:
             assert _flow_generator(closed_form_poly(k, l)) == {}
 
-    @pytest.mark.parametrize("N", range(9))
+    @pytest.mark.parametrize("N", range(13))
     def test_derived_levels(self, N):
         for k, l in shell_states(N):
             assert _flow_generator(derive_invariant_poly(k, l)) == {}
@@ -294,11 +296,11 @@ class TestSymmetries:
 
 class TestDerivation:
     @pytest.mark.parametrize(
-        "k, l", [(0, 4), (1, 2), (2, 0), (0, 5), (1, 3), (2, 1), (1, 4)]
+        "k, l", [(0, 4), (1, 2), (2, 0), (0, 5), (1, 3), (2, 1), (1, 4), (3, 0), (2, 4), (0, 8)]
     )
     def test_matches_factorized_sum_in_full_space(self, k, l, rng):
-        # the derivation sees one slice of phase space; W_00 * P must equal
-        # the factorized W_kl at general points and at their rotated,
+        # the derivation never evaluates the factorized sum; W_00 * P must
+        # equal the factorized W_kl at general points and at their rotated,
         # reflected and nu r <-> q/(hbar nu) mirrored images
         p = OscParams(nu=1.4, delta=0.3, hbar=0.8)
         poly = derive_invariant_poly(k, l)
@@ -319,27 +321,25 @@ class TestDerivation:
                 got = wigner_kl(k, l, PhasePoint3D(tuple(r_img), tuple(q_img)), p)
                 assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_slice_solve_rejects_inconsistent_slices(self):
-        # a lone x^2 y2^2 is a b - c, of degree 2 > N = 1; a lone y1^2 has
-        # its y1 exponent above its x exponent, so b would also carry y2^2;
-        # an odd exponent and a monomial above degree N are not read by the
-        # solve at all
-        for slice_poly, N in (
-            ({(2, 0, 2): F(1)}, 1),
-            ({(0, 2, 0): F(1)}, 4),
-            ({(0, 0, 0): F(1), (1, 0, 0): F(1)}, 2),
-            ({(0, 0, 0): F(1), (4, 0, 0): F(1)}, 1),
-        ):
-            with pytest.raises(ArithmeticError, match="inconsistent"):
-                _solve_on_slice(slice_poly, N)
+    def test_husimi_input_matches_factorized_kernel(self, rng):
+        # e^{-v} p is the zeta = 1 coalescence probability of the factorized
+        # kernel, with v = (a + b)/2
+        p = OscParams.from_zeta(1.3, 1.0, 0.9)
+        rel_r, rel_p = rng.uniform(-1.5, 1.5, (2, 2000, 3))
+        levels = [lv for N in range(9) for lv in shell_states(N)]
+        batch = p_kl_batch(levels, rel_r, rel_p, p)
+        a = p.nu**2 * np.sum(rel_r * rel_r, axis=1)
+        b = np.sum(rel_p * rel_p, axis=1) / (p.hbar * p.nu) ** 2
+        c = np.sum(rel_r * rel_p, axis=1) ** 2 / p.hbar**2
+        for k, l in levels:
+            got = np.exp(-(a + b) / 2) * _eval_invariant_poly(_husimi_poly(k, l), a, b, c)
+            assert np.max(np.abs(got - batch[(k, l)])) <= 1e-14, (k, l)
 
-    def test_slice_solve_reads_invariants(self):
-        # W_01 / W_00 = -1 + 2/3 a + 2/3 b on the slice
-        slice_poly = {(0, 0, 0): F(-1), (2, 0, 0): F(2, 3), (0, 2, 0): F(2, 3), (0, 0, 2): F(2, 3)}
-        assert _solve_on_slice(slice_poly, 1) == closed_form_poly(0, 1)
-        # c = x^2 y1^2 alone is read as c, x^2 y2^2 alone as a b - c
-        assert _solve_on_slice({(2, 2, 0): F(5)}, 2) == {(0, 0, 1): F(5)}
-        assert _solve_on_slice({(2, 0, 2): F(1)}, 2) == {(0, 0, 1): F(-1), (1, 1, 0): F(1)}
+    @pytest.mark.parametrize("N", range(13))
+    def test_shell_sum_rule(self, N):
+        # sum_{2k+l=N} (2l+1) W_kl / W_00 = (-1)^N L_N^(2)(2(a+b)), the
+        # Wigner function of the shell projector
+        assert _shell_trace_residue(N) == {}
 
     def test_rejects_negative_quantum_numbers(self):
         for k, l in ((1, -1), (-1, 2)):
@@ -359,7 +359,7 @@ class TestNormalization:
     def test_exact_integral_is_one(self):
         for k, l in CLOSED_FORM_STATES:
             assert _normalization_exact(closed_form_poly(k, l)) == 1
-        for N in (4, 5, 6):
+        for N in range(13):
             for k, l in shell_states(N):
                 assert _normalization_exact(derive_invariant_poly(k, l)) == 1
 
