@@ -44,6 +44,22 @@ class TestTypes:
         z = coeff(Ame(0, 1, 0), FeTriple(1, 0, 0))
         assert z.is_zero and z.exact_str() == "0" and z.value == 0
 
+    @pytest.mark.parametrize("state, triple, text, value", [
+        # one case per phase i^n2 and per sign (-1)^k; the zero part keeps
+        # the sign of sign * sqrt(R) * 0.0, which the `coeff` files print
+        ((0, 1, 1), (0, 1, 0), "+1*sqrt(1/2)*(0 + 1 i)", (0.0, math.sqrt(1 / 2))),
+        ((0, 2, 2), (0, 2, 0), "+1*sqrt(1/1)*(-1/2 + 0 i)", (-0.5, 0.0)),
+        ((0, 3, 3), (0, 3, 0), "+1*sqrt(9/2)*(0 + -1/6 i)", (0.0, -math.sqrt(9 / 2) / 6)),
+        ((1, 0, 0), (2, 0, 0), "-1*sqrt(1/3)*(1 + 0 i)", (-math.sqrt(1 / 3), -0.0)),
+        ((1, 1, 1), (0, 3, 0), "-1*sqrt(3/10)*(0 + 1 i)", (-0.0, -math.sqrt(3 / 10))),
+    ])
+    def test_exact_coeff_every_phase(self, state, triple, text, value):
+        c = coeff(Ame(*state), FeTriple(*triple))
+        assert c.exact_str() == text
+        for got, want in zip((c.value.real, c.value.imag), value):
+            assert got == pytest.approx(want, rel=1e-15)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
 
 class TestDegenerateSubspace:
     def test_shell_zero(self):
