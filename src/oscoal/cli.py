@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .expansion import Ame, coeff, coeff_oracle, degenerate_subspace
+from .expansion import ORACLE_MAX_N, Ame, coeff, coeff_oracle, degenerate_subspace
 from .gridio import fmt17, write_prob_table, write_table, write_wigner_grid
 from .ho1d import OscParams, quasi_prob
 from .coalescence import PhasePoint, p_kl_batch, shell_states, v_and_t
@@ -172,6 +172,8 @@ def cmd_coeff(args):
         states.extend(Ame(args.k, args.l, m) for m in ms)
     if not states:
         raise _UsageError("no states match the requested quantum numbers")
+    if args.verify and max(s.energy_quantum for s in states) > ORACLE_MAX_N:
+        raise _UsageError(f"coeff --verify needs 2k + l <= {ORACLE_MAX_N} (the oracle's range)")
     rows, max_dev = _coeff_rows(states, args.verify)
     if args.format == "json":
         _emit(json.dumps(rows, sort_keys=True, indent=1), args.out)

@@ -314,7 +314,7 @@ def p_kl_oracle(k, l, rel, params):
     instead of the amplitude recurrence used by `p_kl`.
     """
     N = 2 * k + l
-    triples, table = bilinear_table(k, l, m_averaged=False)
+    triples, table = bilinear_table(k, l)
     axis = []
     for i in range(3):
         mat = np.empty((N + 1, N + 1), dtype=complex)

@@ -5,9 +5,9 @@ eigenstates of (H, L^2, L_3) labelled (k, l, m), and products of 1-D
 eigenfunctions labelled (n1, n2, n3).  Within one energy shell
 N = 2k + l = n1 + n2 + n3 the two are related by a unitary coefficient matrix
 C_{klm, n1 n2 n3}.  This module computes those coefficients in closed form and
-entirely in exact arithmetic: every coefficient is (+/-1) * sqrt(nonnegative
-rational) * (Gaussian rational), so unitarity and orthogonality can be checked
-without any floating point at all.
+entirely in exact arithmetic: every coefficient is (-1)^k i^n2 sqrt(R) s with R
+and s rational (i^n2 is the formula's only complex factor), so unitarity and
+orthogonality can be checked without any floating point at all.
 
 A coefficient vanishes unless both selection rules hold:
 
@@ -30,12 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import GaussianRational, _gh_grid, _read_only, double_factorial
+from .specfun import _gh_grid, _read_only, double_factorial
 
 __all__ = [
     "Ame",
     "FeTriple",
     "ExactCoeff",
+    "ORACLE_MAX_N",
     "coeff",
     "coeff_k0",
     "coeff_oracle",
@@ -90,31 +91,37 @@ class FeTriple:
 
 @dataclass(frozen=True)
 class ExactCoeff:
-    """Expansion coefficient sign * sqrt(radicand) * s_sum, held exactly.
+    """Expansion coefficient sign * sqrt(radicand) * i^n2 * s, held exactly.
 
-    `radicand` is a nonnegative rational, `s_sum` a Gaussian rational, so
-    |value|^2 = radicand * |s_sum|^2 is rational.  Comparisons between two
+    `radicand` and `s` are rationals and `n2` the phase exponent, so
+    |value|^2 = radicand * s^2 is rational.  Comparisons between two
     coefficients therefore reduce to comparing sign-carrying squares of the
     real and imaginary parts, which `signed_squares` exposes.
     """
 
     sign: int
     radicand: Fraction
-    s_sum: GaussianRational
+    s: Fraction
+    n2: int
 
     @property
     def is_zero(self):
-        return self.radicand == 0 or not self.s_sum
+        return self.radicand == 0 or self.s == 0
+
+    def _parts(self):
+        """(re, im) of i^n2 * s as Fractions; one of them is 0."""
+        s = self.s if self.n2 % 4 < 2 else -self.s
+        return (s, Fraction(0)) if self.n2 % 2 == 0 else (Fraction(0), s)
 
     @property
     def value(self):
         root = math.sqrt(self.radicand)
-        return complex(self.sign * root * float(self.s_sum.re),
-                       self.sign * root * float(self.s_sum.im))
+        re, im = self._parts()
+        return complex(self.sign * root * float(re), self.sign * root * float(im))
 
     def abs2(self):
         """|value|^2 as an exact Fraction."""
-        return self.radicand * self.s_sum.abs2()
+        return self.radicand * self.s * self.s
 
     def signed_squares(self):
         """(sgn(re) re^2, sgn(im) im^2) as exact Fractions.
@@ -122,21 +129,24 @@ class ExactCoeff:
         A real number is determined by its sign and its square, so this pair
         is a canonical exact form independent of the internal factorization.
         """
-        re2 = self.radicand * self.s_sum.re * self.s_sum.re
-        im2 = self.radicand * self.s_sum.im * self.s_sum.im
-        sre = self.sign * (1 if self.s_sum.re > 0 else -1 if self.s_sum.re < 0 else 0)
-        sim = self.sign * (1 if self.s_sum.im > 0 else -1 if self.s_sum.im < 0 else 0)
-        return sre * re2, sim * im2
+        re, im = self._parts()
+        sre = self.sign * (1 if re > 0 else -1 if re < 0 else 0)
+        sim = self.sign * (1 if im > 0 else -1 if im < 0 else 0)
+        return sre * self.radicand * re * re, sim * self.radicand * im * im
 
     def exact_str(self):
         if self.is_zero:
             return "0"
         sign = "+1" if self.sign > 0 else "-1"
         p, q = self.radicand.numerator, self.radicand.denominator
-        return f"{sign}*sqrt({p}/{q})*({self.s_sum.re} + {self.s_sum.im} i)"
+        re, im = self._parts()
+        return f"{sign}*sqrt({p}/{q})*({re} + {im} i)"
 
 
-_ZERO_COEFF = ExactCoeff(1, Fraction(0), GaussianRational(0))
+_ZERO_COEFF = ExactCoeff(1, Fraction(0), Fraction(0), 0)
+
+# Largest shell 2k + l that the quadrature oracle `coeff_oracle` accepts.
+ORACLE_MAX_N = 8
 
 
 def degenerate_subspace(N):
@@ -166,9 +176,9 @@ def _binomial_alternating_sum(a, b, kk):
 
 
 def _s_sum(k, l, m, n1, n2, n3):
-    """The residual Gaussian-rational sum of the coefficient formula."""
+    """The rational s of the coefficient formula, its phase i^n2 taken out."""
     kap = (l + m - n3) // 2
-    total = GaussianRational(0)
+    total = Fraction(0)
     for j1 in range(n1 // 2 + 1):
         if 2 * j1 < n1 - l:
             continue
@@ -190,7 +200,7 @@ def _s_sum(k, l, m, n1, n2, n3):
                 * math.factorial(n3 - 2 * j3)
             )
             frac = Fraction(2 ** (n3 - 2 * j3) * inner, den)
-            total = total + GaussianRational.i_power(n2 - 2 * j2) * frac
+            total += (-1) ** j2 * frac
     return total
 
 
@@ -213,7 +223,7 @@ def _coeff_cached(k, l, m, n1, n2, n3):
         * math.factorial(l + m)
         / double_factorial(2 * k + 2 * l + 1)
     )
-    return ExactCoeff((-1) ** k, radicand, s)
+    return ExactCoeff((-1) ** k, radicand, s, n2)
 
 
 def coeff(state, triple):
@@ -241,7 +251,6 @@ def coeff_k0(l, m, triple):
     inner = _binomial_alternating_sum(n1, n2, kap)
     if inner == 0:
         return _ZERO_COEFF
-    s = GaussianRational.i_power(n2) * Fraction(2**n3 * inner)
     radicand = Fraction(
         math.factorial(l + m) * math.factorial(l - m),
         2 ** (2 * l)
@@ -250,7 +259,7 @@ def coeff_k0(l, m, triple):
         * math.factorial(n3)
         * double_factorial(2 * l - 1),
     )
-    return ExactCoeff(1, radicand, s)
+    return ExactCoeff(1, radicand, Fraction(2**n3 * inner), n2)
 
 
 def coeff_oracle(state, triple):
@@ -259,13 +268,14 @@ def coeff_oracle(state, triple):
     Evaluates Int d^3r  Phi*_{n1 n2 n3} Psi_{klm} at nu = 1 by tensor-product
     Gauss-Hermite quadrature of phi_n and Psi_klm themselves, with their
     Gaussian exp(-r^2) divided out; the rest is a polynomial, so the rule is
-    exact up to roundoff.  Guarded to shells N = 2k + l <= 8 to bound cost.
+    exact up to roundoff.  Guarded to shells N = 2k + l <= ORACLE_MAX_N to
+    bound cost.
     """
     from .ho1d import OscParams, phi_n
 
     N = state.energy_quantum
-    if N > 8:
-        raise ValueError(f"oracle limited to 2k + l <= 8, got N={N}")
+    if N > ORACLE_MAX_N:
+        raise ValueError(f"oracle limited to 2k + l <= {ORACLE_MAX_N}, got N={N}")
     tt, w3, integrand, psi = _oracle_grid(state)
     unit = OscParams(nu=1.0)
     for i, n in enumerate(triple):
@@ -282,7 +292,7 @@ def _oracle_nodes(n):
 
 @lru_cache(maxsize=None)
 def _oracle_grid(state):
-    """The oracle grid of one state (N <= 8) with Psi_klm at nu = 1 on its nodes.
+    """The oracle grid of one state (N <= ORACLE_MAX_N) with Psi_klm at nu = 1 on its nodes.
 
     Shared by every triple of the state; at most 165 states are cached.
     """
@@ -308,17 +318,14 @@ def _coeff_matrix(k, l):
 
 
 @lru_cache(maxsize=None)
-def bilinear_table(k, l, m_averaged=True):
+def bilinear_table(k, l):
     """(triples, T) with T[i, j] = sum_m conj(C_{m, t_i}) C_{m, t_j}.
 
-    With m_averaged=True the sum carries the 1/(2l+1) factor used by the
-    m-averaged Wigner distributions; without it, the plain m-sum used by the
-    coalescence probabilities.
+    The plain m-sum of the coalescence probabilities; the m-averaged Wigner
+    distributions divide it by 2l + 1.
     """
     triples, mat = _coeff_matrix(k, l)
     t = np.conj(mat).T @ mat
-    if m_averaged:
-        t = t / (2 * l + 1)
     t.setflags(write=False)
     return triples, t
 
@@ -343,31 +350,32 @@ def d_coeff(k, l, triple, triple_prime):
     N = 2 * k + l
     if triple.energy_quantum != N or triple_prime.energy_quantum != N:
         return 0j
-    triples, table = bilinear_table(k, l, True)
+    triples, table = bilinear_table(k, l)
     i = triples.index(triple_prime)
     j = triples.index(triple)
-    return complex(table[i, j])
+    return complex(table[i, j] / (2 * l + 1))
 
 
 def d_coeff_reduced(k, l, triple, triple_prime):
     """Exact m-averaged pairing with the radical factored off.
 
-    Returns the Gaussian rational g with
-    D(k, l; t, t') = g * sqrt(n1! n2! n3! n1'! n2'! n3'!); the square root
-    cancels against the factorial prefactors of the 1-D Wigner closed forms,
-    which is what makes fully rational 3-D derivations possible.  Both
-    coefficients of one m share the sign (-1)^k and the radicand up to the
-    factorials of their own triple, so g sums conj(s') s R / (n1! n2! n3!).
+    Returns the rational g with
+    D(k, l; t, t') = i^(n2 - n2') g sqrt(n1! n2! n3! n1'! n2'! n3'!); the square
+    root cancels against the factorial prefactors of the 1-D Wigner closed
+    forms, which is what makes fully rational 3-D derivations possible.  Both
+    coefficients of one m share the sign (-1)^k, the phase up to i^(n2 - n2')
+    and the radicand up to the factorials of their own triple, so g sums
+    s' s R / (n1! n2! n3!).
     """
     q = math.factorial(triple.n1) * math.factorial(triple.n2) * math.factorial(triple.n3)
-    total = GaussianRational(0)
+    total = Fraction(0)
     for m in range(-l, l + 1):
         state = Ame(k, l, m)
         c, cp = coeff(state, triple), coeff(state, triple_prime)
         if c.is_zero or cp.is_zero:
             continue
-        total = total + cp.s_sum.conjugate() * c.s_sum * (c.radicand / q)
-    return total * Fraction(1, 2 * l + 1)
+        total += cp.s * c.s * (c.radicand / q)
+    return total / (2 * l + 1)
 
 
 def norm_squared_exact(state):
@@ -381,17 +389,18 @@ def norm_squared_exact(state):
 def overlap_s_part(state_a, state_b):
     """Exact radical-free part of <state_a | state_b> within one shell.
 
-    The full overlap is sign_a sign_b sqrt(R_a R_b) times this Gaussian
-    rational, with R positive, so it vanishes exactly iff this does.
+    The full overlap is sign_a sign_b sqrt(R_a R_b) times this rational, with
+    R positive, so it vanishes exactly iff this does.  The phases cancel:
+    both coefficients of one triple carry the same i^n2.
     """
     if state_a.energy_quantum != state_b.energy_quantum:
         raise ValueError("states must share one energy shell")
-    total = GaussianRational(0)
+    total = Fraction(0)
     for t in degenerate_subspace(state_a.energy_quantum):
         ca = coeff(state_a, t)
         cb = coeff(state_b, t)
         if ca.is_zero or cb.is_zero:
             continue
         q = math.factorial(t.n1) * math.factorial(t.n2) * math.factorial(t.n3)
-        total = total + ca.s_sum.conjugate() * cb.s_sum * Fraction(q)
+        total += ca.s * cb.s * q
     return total

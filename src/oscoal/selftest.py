@@ -20,7 +20,7 @@ import numpy as np
 from . import coalescence, expansion, ho1d, wigner3d, yields
 from .expansion import Ame, FeTriple
 from .ho1d import OscParams, Phase1D
-from .specfun import GaussianRational, _gh_grid, gauss_2f1_neg1, spherical_harmonic
+from .specfun import _gh_grid, gauss_2f1_neg1, spherical_harmonic
 from .wigner3d import PhasePoint3D
 
 __all__ = ["CheckResult", "run_selftest", "all_states_through", "REFERENCE_COEFFICIENTS"]
@@ -134,7 +134,7 @@ def _check_unitarity_orthogonality():
     for shell in by_shell.values():
         for i, a in enumerate(shell):
             for b in shell[i + 1 :]:
-                if expansion.overlap_s_part(a, b) != GaussianRational(0):
+                if expansion.overlap_s_part(a, b) != 0:
                     bad += 1
     return CheckResult("coefficient unitarity and orthogonality (exact, N <= 6)",
                        bad == 0, float(bad), 0.0)

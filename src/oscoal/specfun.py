@@ -2,10 +2,10 @@
 
 Floating-point evaluation of Hermite and associated Laguerre polynomials via
 their stable three-term recurrences, Condon-Shortley spherical harmonics, and
-the exact (arbitrary-precision) pieces of the coefficient algebra: double
-factorials and Gaussian-rational numbers a/b + (c/d)i.  The terminating Gauss
-hypergeometric sum at argument -1, `gauss_2f1_neg1`, is the test oracle for
-the binomial sum inside the coefficients (`expansion._binomial_alternating_sum`).
+exact integer double factorials for the coefficient algebra, whose numbers
+are plain `Fraction`s.  The terminating Gauss hypergeometric sum at argument
+-1, `gauss_2f1_neg1`, is the test oracle for the binomial sum inside the
+coefficients (`expansion._binomial_alternating_sum`).
 `_gh_grid` is the one Gauss-Hermite rule behind every quadrature oracle.
 
 All floating-point routines accept scalars or numpy arrays and are pure
@@ -24,7 +24,6 @@ __all__ = [
     "spherical_harmonic",
     "double_factorial",
     "gauss_2f1_neg1",
-    "GaussianRational",
 ]
 
 
@@ -170,79 +169,3 @@ def gauss_2f1_neg1(a, b, c, z=-1):
         term *= Fraction((a + j) * (b + j), 1) / (cj * (j + 1)) * -1
         total += term
     return total
-
-
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-class GaussianRational:
-    """Exact complex number with Fraction real and imaginary parts.
-
-    Closed under addition, multiplication and integer powers of i; used for
-    the expansion-coefficient sums where i enters through i**(n2 - 2 j2).
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @classmethod
-    def i_power(cls, e):
-        re, im = _I_POWERS[e % 4]
-        return cls(re, im)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(value)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self):
-        """|self|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return f"{self.re} + {self.im} i"

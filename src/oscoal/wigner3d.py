@@ -164,8 +164,9 @@ def wigner_klm(state, pt, params):
 
 def wigner_kl(k, l, pt, params):
     """m-averaged Wigner distribution W_kl = (1/(2l+1)) sum_m W_klm."""
-    triples, table = bilinear_table(k, l, True)
-    return bilinear_assemble(table, triples, *_axis_matrices(2 * k + l, pt, params)).real
+    triples, table = bilinear_table(k, l)
+    mats = _axis_matrices(2 * k + l, pt, params)
+    return bilinear_assemble(table / (2 * l + 1), triples, *mats).real
 
 
 # ---------------------------------------------------------------------------

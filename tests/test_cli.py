@@ -95,6 +95,16 @@ class TestCoeffCommand:
         monkeypatch.setattr("oscoal.cli._coeff_rows", _must_not_compute)
         assert run(["coeff", "--N", "1", *extra, "--format", "csv"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "levels", [["--N", "9"], ["--k", "0", "--l", "9"], ["--k", "4", "--l", "2", "--m", "0"]],
+        ids=["shell", "k-l", "k-l-m"],
+    )
+    def test_verify_above_oracle_range_rejected(self, levels, monkeypatch, capsys):
+        # coeff_oracle would raise only after the rows below N = 9 were computed
+        monkeypatch.setattr("oscoal.cli._coeff_rows", _must_not_compute)
+        assert run(["coeff", *levels, "--verify", "--format", "csv"]) == EXIT_USAGE
+        assert "2k + l <= 8" in capsys.readouterr().err
+
     def test_shell_with_m_filters_states(self, tmp_path):
         out = tmp_path / "c.json"
         assert run(["coeff", "--N", "2", "--m", "2", "--out", str(out)]) == EXIT_OK

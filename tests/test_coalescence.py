@@ -148,7 +148,7 @@ class TestPKl:
 
     def test_imaginary_residue_small(self, params, rng):
         rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
-        triples, table = bilinear_table(1, 1, m_averaged=False)
+        triples, table = bilinear_table(1, 1)
         mats = [quasi_prob_table(rel.r_vec[i], rel.p_vec[i], params, 3) for i in range(3)]
         total = bilinear_assemble(table, triples, *mats)
         assert abs(total.imag) < 1e-12

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from oscoal.specfun import (
-    GaussianRational,
     assoc_laguerre,
     double_factorial,
     gauss_2f1_neg1,
@@ -200,23 +199,3 @@ class TestSphericalHarmonic:
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             spherical_harmonic(1, 2, 0.0, 0.0)
-
-
-class TestGaussianRational:
-    def test_arithmetic_closure(self):
-        a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
-        b = GaussianRational(2, Fraction(1, 6))
-        assert (a * b).re == Fraction(1, 2) * 2 + Fraction(1, 3) * Fraction(1, 6)
-        assert (a + b).im == Fraction(-1, 6)
-        assert complex(a) == complex(0.5, float(Fraction(-1, 3)))
-
-    def test_i_powers_cycle(self):
-        vals = [GaussianRational.i_power(e) for e in range(4)]
-        assert [complex(v) for v in vals] == [1, 1j, -1, -1j]
-        assert GaussianRational.i_power(7) == GaussianRational.i_power(3)
-
-    def test_abs2_and_conjugate(self):
-        a = GaussianRational(Fraction(3, 5), Fraction(4, 5))
-        assert a.abs2() == 1
-        assert (a * a.conjugate()).re == 1
-        assert (a * a.conjugate()).im == 0
