@@ -29,6 +29,7 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 DEFAULT_THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
+MAX_SHELL = 12  # largest 2k + l that coeff, wigner and prob accept
 
 
 class _UsageError(Exception):
@@ -160,14 +161,14 @@ def cmd_coeff(args):
         raise _UsageError("coeff takes either --N or --k and --l, not both")
     states = []
     if args.N is not None:
-        if args.N < 0 or args.N > 12:
-            raise _UsageError("--N must be in 0..12")
+        if args.N < 0 or args.N > MAX_SHELL:
+            raise _UsageError(f"--N must be in 0..{MAX_SHELL}")
         for k, l in shell_states(args.N):
             ms = [args.m] if args.m is not None else range(-l, l + 1)
             states.extend(Ame(k, l, m) for m in ms if abs(m) <= l)
     else:
-        if 2 * args.k + args.l > 12:
-            raise _UsageError("shells limited to 2k + l <= 12")
+        if 2 * args.k + args.l > MAX_SHELL:
+            raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
         ms = [args.m] if args.m is not None else range(-args.l, args.l + 1)
         states.extend(Ame(args.k, args.l, m) for m in ms)
     if not states:
@@ -204,8 +205,8 @@ def cmd_wigner(args):
         raise _UsageError("wigner requires --out (grids are large)")
     if args.k < 0 or args.l < 0:
         raise _UsageError(f"--k and --l must be nonnegative, got {args.k} and {args.l}")
-    if 2 * args.k + args.l > 12:
-        raise _UsageError("shells limited to 2k + l <= 12")
+    if 2 * args.k + args.l > MAX_SHELL:
+        raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "q"))
     grid = export_grid(args.k, args.l, axes["r"], axes["q"], thetas, params)
@@ -244,6 +245,8 @@ def cmd_prob(args):
         raise _UsageError("give both --k and --l, or neither for all N <= 3")
     if args.k is not None and (args.k < 0 or args.l < 0):
         raise _UsageError(f"--k and --l must be nonnegative, got {args.k} and {args.l}")
+    if args.k is not None and 2 * args.k + args.l > MAX_SHELL:
+        raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "p"))
     levels = [(args.k, args.l)] if args.k is not None else list(CLOSED_FORM_STATES)

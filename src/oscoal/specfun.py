@@ -145,15 +145,13 @@ def double_factorial(n):
     return out
 
 
-def gauss_2f1_neg1(a, b, c, z=-1):
+def gauss_2f1_neg1(a, b, c):
     """Terminating 2F1(a, b; c; -1) as an exact Fraction.
 
     Requires nonpositive integers a and b (the series terminates at
     min(|a|, |b|)) and a parameter c whose shifted values c + j stay nonzero
     over the summation range.
     """
-    if z != -1:
-        raise ValueError("only the argument z = -1 is supported")
     if a != int(a) or b != int(b) or a > 0 or b > 0:
         raise ValueError(f"a and b must be nonpositive integers, got a={a}, b={b}")
     a = int(a)

@@ -18,12 +18,12 @@ zeta = 1 coalescence probability: in the reduced variables x = (xi, eta),
 P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
 e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, and the
 inverse heat flow P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite
-series on polynomials.  The coefficient tables shipped in `wigner_kl_closed`
-were generated that way and the self test regenerates them on demand.  Their
-phase-space integral is 1 exactly, by a moment identity
-(`_normalization_exact`).  Two terms of the commonly tabulated printed forms
-for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu) mirror
-symmetry; the derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
+series on polynomials.  Every W_kl here, `wigner_kl_closed` and `export_grid`
+included, evaluates that derivation; no coefficient table is stored.  The
+phase-space integral of each derived polynomial is 1 exactly, by a moment
+identity (`_normalization_exact`).  Two terms of the commonly tabulated
+printed forms for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu)
+mirror symmetry; the derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
 """
 
 import math
@@ -48,7 +48,6 @@ __all__ = [
     "wigner_klm_oracle",
     "wigner_kl_oracle",
     "derive_invariant_poly",
-    "closed_form_poly",
     "export_grid",
     "level_crossings",
     "CLOSED_FORM_STATES",
@@ -270,12 +269,16 @@ def _shell_trace_residue(N):
     return {key: c for key, c in out.items() if c}
 
 
-# Coefficient tables for W_kl / W_00 in the invariants (a, b, c), generated by
-# the inverse heat flow of derive_invariant_poly and frozen here; the selftest
-# regenerates and compares.
+# The six levels with N <= 3, the range of the printed tabulation.
 CLOSED_FORM_STATES = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
 
-_CLOSED_FORM_COEFFS = {
+# Commonly tabulated printed forms of W_kl / W_00 for those levels, kept for
+# the audit in the selftest.  Two entries are known to be wrong there: the
+# (0,3) q-quartic term is printed with a dimensionally inconsistent q^2
+# exponent (coefficient agrees once read as q^4, which is how it is encoded
+# here), and the (1,1) q^4/q^6 coefficients are swapped relative to the
+# nu r <-> q/(hbar nu) mirror of the r terms (encoded literally).
+REFERENCE_TABULATION = {
     (0, 0): {
         (0, 0, 0): Fraction(1, 1),
     },
@@ -322,8 +325,8 @@ _CLOSED_FORM_COEFFS = {
         (0, 0, 1): Fraction(-56, 15),
         (0, 1, 0): Fraction(2, 1),
         (0, 1, 1): Fraction(16, 15),
-        (0, 2, 0): Fraction(-22, 15),
-        (0, 3, 0): Fraction(4, 15),
+        (0, 2, 0): Fraction(-4, 15),
+        (0, 3, 0): Fraction(22, 15),
         (1, 0, 0): Fraction(2, 1),
         (1, 0, 1): Fraction(16, 15),
         (1, 1, 0): Fraction(4, 5),
@@ -333,41 +336,12 @@ _CLOSED_FORM_COEFFS = {
         (3, 0, 0): Fraction(4, 15),
     },
 }
-
-# Commonly tabulated printed forms of the same polynomials, kept for the
-# audit in the selftest.  Two entries are known to be wrong there: the (0,3)
-# q-quartic term is printed with a dimensionally inconsistent q^2 exponent
-# (coefficient agrees once read as q^4, which is how it is encoded here),
-# and the (1,1) q^4/q^6 coefficients are swapped relative to the
-# nu r <-> q/(hbar nu) mirror of the r terms (encoded literally).
-REFERENCE_TABULATION = {
-    (0, 0): _CLOSED_FORM_COEFFS[(0, 0)],
-    (0, 1): _CLOSED_FORM_COEFFS[(0, 1)],
-    (0, 2): _CLOSED_FORM_COEFFS[(0, 2)],
-    (1, 0): _CLOSED_FORM_COEFFS[(1, 0)],
-    (0, 3): _CLOSED_FORM_COEFFS[(0, 3)],
-    (1, 1): {
-        **_CLOSED_FORM_COEFFS[(1, 1)],
-        (0, 2, 0): Fraction(-4, 15),
-        (0, 3, 0): Fraction(22, 15),
-    },
-}
 REFERENCE_TABULATION_NOTES = (
     "(0,3): printed q-quartic exponent is q^2 (dimensionally inconsistent); "
     "re-derived exponent is q^4 with the same coefficient -4/5",
     "(1,1): printed q^4, q^6 coefficients (-4/15, +22/15) break the "
     "nu r <-> q/(hbar nu) mirror; re-derived values are (-22/15, +4/15)",
 )
-
-
-def closed_form_poly(k, l):
-    """Frozen invariant polynomial of one of the six tabulated states."""
-    if (k, l) not in _CLOSED_FORM_COEFFS:
-        raise ValueError(
-            f"no tabulated closed form for (k, l) = ({k}, {l}); "
-            f"available: {sorted(_CLOSED_FORM_COEFFS)}"
-        )
-    return _CLOSED_FORM_COEFFS[(k, l)]
 
 
 def _eval_invariant_poly(poly, a, b, c):
@@ -384,11 +358,16 @@ def _w00_times_poly(poly, a, b, c, hbar):
 
 
 def wigner_kl_closed(k, l, r2, q2, rq, params):
-    """Closed-form W_kl from the frozen tables, states with 2k + l <= 3.
+    """Closed-form W_kl of the derived polynomial, states with 2k + l <= 3.
 
     Takes the scalar invariants r^2, q^2 and r.q; accepts arrays.
     """
-    poly = closed_form_poly(k, l)
+    if (k, l) not in CLOSED_FORM_STATES:
+        raise ValueError(
+            f"no tabulated closed form for (k, l) = ({k}, {l}); "
+            f"available: {sorted(CLOSED_FORM_STATES)}"
+        )
+    poly = derive_invariant_poly(k, l)
     nu, hbar = params.nu, params.hbar
     a = nu * nu * np.asarray(r2, dtype=float)
     b = np.asarray(q2, dtype=float) / (hbar * nu) ** 2
@@ -538,9 +517,8 @@ def export_grid(k, l, r_axis, q_axis, theta_axis, params):
     """Evaluate W_kl on an (r, q, theta) product grid and extract node lines.
 
     Axes must be strictly increasing (theta may be any finite list).  Uses
-    the exact invariant polynomial (frozen table when available, derived
-    otherwise), evaluated vectorized; node lines are level crossings of each
-    theta slice.
+    the exact invariant polynomial of `derive_invariant_poly`, evaluated
+    vectorized; node lines are level crossings of each theta slice.
     """
     r_axis = np.asarray(r_axis, dtype=float)
     q_axis = np.asarray(q_axis, dtype=float)
@@ -548,10 +526,7 @@ def export_grid(k, l, r_axis, q_axis, theta_axis, params):
     for ax, name in ((r_axis, "r"), (q_axis, "q")):
         if ax.ndim != 1 or len(ax) < 2 or np.any(np.diff(ax) <= 0):
             raise ValueError(f"{name} axis must be strictly increasing with >= 2 points")
-    if (k, l) in _CLOSED_FORM_COEFFS:
-        poly = _CLOSED_FORM_COEFFS[(k, l)]
-    else:
-        poly = derive_invariant_poly(k, l)
+    poly = derive_invariant_poly(k, l)
     nu, hbar = params.nu, params.hbar
     a = (nu * r_axis[:, None, None]) ** 2
     b = (q_axis[None, :, None] / (hbar * nu)) ** 2

@@ -242,6 +242,21 @@ class TestProbCommand:
         assert run(["prob", *levels, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "levels",
+        [["--k", "0", "--l", "13"], ["--k", "6", "--l", "1"],
+         ["--k", "0", "--l", "120", "--grid", "r:0:1:2,p:0:1:2,theta:0"]],
+        ids=["shell-13-by-l", "shell-13-by-k", "shell-120-grid"],
+    )
+    def test_shell_cap_before_compute(self, levels, tmp_path, monkeypatch, capsys):
+        # the same 2k + l <= 12 cap as coeff and wigner, before the grid is parsed
+        monkeypatch.setattr("oscoal.cli.parse_grid_spec", _must_not_compute)
+        monkeypatch.setattr("oscoal.cli.p_kl_batch", _must_not_compute)
+        out = tmp_path / "p.dat"
+        assert run(["prob", *levels, "--out", str(out)]) == EXIT_USAGE
+        assert "2k + l <= 12" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_out(self, monkeypatch):
         monkeypatch.setattr("oscoal.cli.p_kl", _must_not_compute)
         monkeypatch.setattr("oscoal.cli.p_kl_batch", _must_not_compute)

@@ -151,10 +151,6 @@ class TestGauss2F1:
         with pytest.raises(ValueError):
             gauss_2f1_neg1(1, -2, 3)
 
-    def test_other_argument_rejected(self):
-        with pytest.raises(ValueError):
-            gauss_2f1_neg1(-1, -1, 2, z=1)
-
 
 class TestSphericalHarmonic:
     def test_ground_harmonic_constant(self):

@@ -19,7 +19,6 @@ from oscoal.wigner3d import (
     _normalization_exact,
     _normalization_quadrature,
     _shell_trace_residue,
-    closed_form_poly,
     derive_invariant_poly,
     export_grid,
     level_crossings,
@@ -152,24 +151,18 @@ class TestWignerKl:
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_w10_literal_spot_value(self, params):
-        # a = b = 1, c = 0: polynomial 1 - 4/3 - 4/3 + 2/3 + 2/3 - 4/3 = -8/3 + ... = -5/3... evaluate exactly
-        poly = closed_form_poly(1, 0)
-        val = sum(float(c) for (i, j, h), c in poly.items() if h == 0 and i <= 2 and j <= 2)
+        # a = b = 1, c = 0: W_10 / W_00 = 1 - 4/3 - 4/3 + 2/3 - 4/3 + 2/3 = -5/3
         pt = PhasePoint3D((1.0, 0, 0), (0, 1.0, 0))
-        expected = val * math.exp(-2.0) / math.pi**3
+        expected = -5 / 3 * math.exp(-2.0) / math.pi**3
         assert wigner_kl(1, 0, pt, params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestClosedForms:
-    def test_frozen_tables_match_fresh_derivation(self):
-        for k, l in CLOSED_FORM_STATES:
-            assert derive_invariant_poly(k, l) == closed_form_poly(k, l)
-
     def test_audit_against_printed_tabulation(self):
         # only the two documented (1,1) coefficients may differ
         diffs = {}
         for (k, l), ref in REFERENCE_TABULATION.items():
-            d = closed_form_poly(k, l)
+            d = derive_invariant_poly(k, l)
             delta = {
                 key
                 for key in set(d) | set(ref)
@@ -178,17 +171,19 @@ class TestClosedForms:
             if delta:
                 diffs[(k, l)] = delta
         assert diffs == {(1, 1): {(0, 2, 0), (0, 3, 0)}}
-        assert closed_form_poly(1, 1)[(0, 2, 0)] == F(-22, 15)
-        assert closed_form_poly(1, 1)[(0, 3, 0)] == F(4, 15)
+        assert derive_invariant_poly(1, 1)[(0, 2, 0)] == F(-22, 15)
+        assert derive_invariant_poly(1, 1)[(0, 3, 0)] == F(4, 15)
 
     def test_mirror_symmetry_of_tables(self):
-        for k, l in CLOSED_FORM_STATES:
-            poly = closed_form_poly(k, l)
-            for (i, j, h), c in poly.items():
-                assert poly.get((j, i, h)) == c
+        # the nu r <-> q/(hbar nu) mirror swaps a and b, for every derived level
+        for N in range(13):
+            for k, l in shell_states(N):
+                poly = derive_invariant_poly(k, l)
+                for (i, j, h), c in poly.items():
+                    assert poly.get((j, i, h)) == c, (k, l, (i, j, h))
 
     def test_w02_angular_dependence_only_through_c(self, params):
-        poly = closed_form_poly(0, 2)
+        poly = derive_invariant_poly(0, 2)
         assert all(h <= 1 for (_, _, h) in poly)
         # same invariants a, b, different angle enters only through (r.q)^2
         a = wigner_kl_closed(0, 2, 1.0, 1.0, 0.3, params)
@@ -243,10 +238,6 @@ class TestHarmonicFlow:
     eta -> eta cos f - xi sin f.  On P(a, b, c) = W_kl/W_00 the generator of
     that flow is 2 (xi.eta) (dP/da - dP/db + (b - a) dP/dc), which must vanish
     identically; equivalently P is a polynomial in a + b and ab - c."""
-
-    def test_frozen_tables(self):
-        for k, l in CLOSED_FORM_STATES:
-            assert _flow_generator(closed_form_poly(k, l)) == {}
 
     @pytest.mark.parametrize("N", range(13))
     def test_derived_levels(self, N):
@@ -349,16 +340,12 @@ class TestDerivation:
 
 class TestNormalization:
     def test_phase_space_integral_is_one(self):
-        for k, l in CLOSED_FORM_STATES:
-            assert _normalization_quadrature(closed_form_poly(k, l)) == pytest.approx(1.0, abs=1e-8)
-        for N in (4, 5):
+        for N in range(6):
             for k, l in shell_states(N):
                 got = _normalization_quadrature(derive_invariant_poly(k, l))
                 assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_exact_integral_is_one(self):
-        for k, l in CLOSED_FORM_STATES:
-            assert _normalization_exact(closed_form_poly(k, l)) == 1
         for N in range(13):
             for k, l in shell_states(N):
                 assert _normalization_exact(derive_invariant_poly(k, l)) == 1
@@ -394,7 +381,7 @@ class TestExportGrid:
                            np.array([math.pi / 2]), params)
         row = grid.values[:, 0, 0]
         crossings = np.sum(row[:-1] * row[1:] < 0)
-        poly = closed_form_poly(1, 1)
+        poly = derive_invariant_poly(1, 1)
         b = q0**2
         coeffs = np.zeros(4)
         for (i, j, h), c in poly.items():
@@ -408,7 +395,7 @@ class TestExportGrid:
         assert crossings == len(real_pos)
 
     def test_derives_polynomial_for_untabulated_state(self, params):
-        # (0, 4) has no frozen table; the grid path derives it on demand
+        # (0, 4) lies outside the printed tabulation; the grid derives it like every level
         grid = export_grid(0, 4, np.linspace(0.2, 2.0, 5), np.linspace(0.2, 2.0, 5),
                            np.array([0.5]), params)
         for i in (0, 2, 4):
