@@ -18,7 +18,7 @@ from . import __version__
 from .expansion import ORACLE_MAX_N, Ame, coeff, coeff_oracle, degenerate_subspace
 from .gridio import fmt17, write_prob_table, write_table, write_wigner_grid
 from .ho1d import OscParams, quasi_prob
-from .coalescence import PhasePoint, p_kl_batch, shell_states, v_and_t
+from .coalescence import PhasePoint, canonical_points, p_kl_batch, shell_states, v_and_t
 from .coalescence import p_kl  # unused here; perfbench/spans.py wraps this name
 from .wigner3d import CLOSED_FORM_STATES, export_grid, level_crossings
 from .yields import MCConfig, channel_table, load_particles, pair_yields
@@ -30,6 +30,8 @@ EXIT_IO = 3
 
 DEFAULT_THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 MAX_SHELL = 12  # largest 2k + l that coeff, wigner and prob accept
+# rows of one prob, wigner or figures file; a prob table at the cap peaks near 1 GB
+MAX_ROWS = 10**7
 
 
 class _UsageError(Exception):
@@ -65,6 +67,12 @@ def _add_opts(parser, names):
     """Register the shared options a subcommand reads, and only those."""
     for name in names:
         parser.add_argument(name, **_OPTIONS[name])
+
+
+def _check_rows(rows, what):
+    """Refuse, before any compute, a result file of more than MAX_ROWS rows."""
+    if rows > MAX_ROWS:
+        raise _UsageError(f"{what} would write {rows} rows; one file holds at most {MAX_ROWS}")
 
 
 def _resolve_params(args):
@@ -105,6 +113,7 @@ def parse_grid_spec(spec, radial_names=("r", "q")):
         n = int(rest[2])
         if n < 2 or not 0 < hi - lo < math.inf:
             raise _UsageError(f"bad grid range in {tok!r}")
+        _check_rows(n, f"grid token {tok!r}")
         axes[name] = np.linspace(lo, hi, n)
         i += 1
     for name in radial_names:
@@ -112,14 +121,6 @@ def parse_grid_spec(spec, radial_names=("r", "q")):
     if thetas is None:
         thetas = np.array(DEFAULT_THETAS)
     return axes, thetas
-
-
-def _canonical_points(r, p, theta):
-    """(n, 3) r and p vectors of `PhasePoint.from_invariants`, bit for bit."""
-    cos = np.array([math.cos(th) for th in theta])
-    sin = np.array([math.sin(th) for th in theta])
-    zero = np.zeros(len(theta))
-    return np.column_stack([r, zero, zero]), np.column_stack([p * cos, p * sin, zero])
 
 
 def _emit(text, out):
@@ -209,9 +210,10 @@ def cmd_wigner(args):
         raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "q"))
+    _check_rows(len(axes["r"]) * len(axes["q"]) * len(thetas), "wigner")
     grid = export_grid(args.k, args.l, axes["r"], axes["q"], thetas, params)
     if args.verify:
-        from .wigner3d import PhasePoint3D, wigner_kl, wigner_kl_oracle
+        from .wigner3d import wigner_kl, wigner_kl_oracle
 
         md = 0.0
         ri = np.linspace(0, len(grid.r_axis) - 1, 4, dtype=int)
@@ -219,13 +221,13 @@ def cmd_wigner(args):
         for i in ri:
             for j in qi:
                 for s, th in enumerate(grid.theta_axis):
-                    pt = PhasePoint3D.from_invariants(grid.r_axis[i], grid.q_axis[j], th)
+                    pt = PhasePoint.from_invariants(grid.r_axis[i], grid.q_axis[j], th)
                     md = max(md, abs(grid.values[i, j, s] - wigner_kl(args.k, args.l, pt, params)))
         md_oracle = 0.0
         if 2 * args.k + args.l <= 3:
             for i in ri[1:3]:
-                pt = PhasePoint3D.from_invariants(grid.r_axis[i], grid.q_axis[qi[1]],
-                                                  grid.theta_axis[0])
+                pt = PhasePoint.from_invariants(grid.r_axis[i], grid.q_axis[qi[1]],
+                                                grid.theta_axis[0])
                 md_oracle = max(
                     md_oracle,
                     abs(grid.values[i, qi[1], 0] - wigner_kl_oracle(args.k, args.l, pt, params)),
@@ -250,8 +252,9 @@ def cmd_prob(args):
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "p"))
     levels = [(args.k, args.l)] if args.k is not None else list(CLOSED_FORM_STATES)
+    _check_rows(len(axes["r"]) * len(axes["p"]) * len(thetas) * len(levels), "prob")
     grid = [a.ravel() for a in np.meshgrid(axes["r"], axes["p"], thetas, indexing="ij")]
-    rel_r, rel_p = _canonical_points(*grid)
+    rel_r, rel_p = canonical_points(*grid)
     v, t = v_and_t(rel_r, rel_p, params)
     probs = p_kl_batch(levels, rel_r, rel_p, params)
     n = len(rel_r)
@@ -352,7 +355,7 @@ def _figure3(outdir, params, resolution):
     path = Path(outdir) / "fig3_theta.dat"
     header = {"type": "theta_scan", "r": fmt17(r0), "p": fmt17(p0),
               "params": {"nu": params.nu, "delta": params.delta, "hbar": params.hbar}}
-    rel_r, rel_p = _canonical_points(np.full(resolution, r0), np.full(resolution, p0), thetas)
+    rel_r, rel_p = canonical_points(np.full(resolution, r0), np.full(resolution, p0), thetas)
     v, t = v_and_t(rel_r, rel_p, params)
     probs = p_kl_batch([(0, 3), (1, 1)], rel_r, rel_p, params)
     write_table(path, header, ("theta", "v", "t", "P03", "P11"),
@@ -363,11 +366,15 @@ def _figure3(outdir, params, resolution):
 def cmd_figures(args):
     if args.resolution is not None and args.resolution < 2:
         raise _UsageError(f"--resolution must be at least 2, got {args.resolution}")
+    if args.id == 2 and (args.zeta is not None or args.delta is not None):
+        raise _UsageError("figures 2 scans zeta = 0.25, 1, 4 itself; it reads no --zeta or --delta")
+    resolution = args.resolution or (400 if args.id != 3 else 181)
+    rows = {1: resolution**2 * len(DEFAULT_THETAS), 2: resolution**2, 3: resolution}[args.id]
+    _check_rows(rows, f"figures {args.id}")
     params = _resolve_params(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fig = {1: _figure1, 2: _figure2, 3: _figure3}[args.id]
-    resolution = args.resolution or (400 if args.id != 3 else 181)
     paths = fig(outdir, params, resolution)
     for p in paths:
         print(p)

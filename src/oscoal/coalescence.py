@@ -17,14 +17,16 @@ amplitudes,
     A_m = sum_t C_{klm, t} g_{t1}(r1, p1) g_{t2}(r2, p2) g_{t3}(r3, p3),
 
 which makes P_kl >= 0 hold by construction and gives P_klm = |A_m|^2 for
-free.  At matched scales (zeta = 1) the six levels with 2k + l <= 3 reduce
-to closed forms in the two invariants
+free.  At matched scales (zeta = 1) every level has a closed form in the two
+invariants
 
     v = nu^2 r^2 / 2 + p^2 / (2 hbar^2 nu^2),
-    t = |r x p|^2 / hbar^2,
+    t = |r x p|^2 / hbar^2:
 
-and the levels of one energy shell N sum to the Poisson weight e^{-v} v^N/N!,
-with the t dependence cancelling inside each shell.  The final bound-state
+e^v P_kl is a polynomial in v and s = v^2 - t (`_husimi_terms`), the Husimi
+function of the (k, l) multiplet from which `wigner3d` derives W_kl.  The
+levels of one energy shell N sum to the Poisson weight e^{-v} v^N/N!, with
+the t dependence cancelling inside each shell.  The final bound-state
 momentum is distributed around P_i = p1 + p2 with the Gaussian overlap factor
 J; in the semi-classical limit J becomes a delta function.
 
@@ -35,17 +37,20 @@ independent of the amplitude recurrence of `ho1d.quasi_amplitudes`.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .expansion import _coeff_matrix, bilinear_assemble, bilinear_table
 from .ho1d import _wigner_poly, quasi_amplitudes
 from .ho1d import quasi_prob_table  # unused here; perfbench/spans.py wraps this name
-from .specfun import _gh_grid
+from .specfun import _gh_grid, double_factorial
 
 __all__ = [
     "WavePacket",
     "PhasePoint",
+    "canonical_points",
     "v_and_t",
     "j_overlap",
     "p_kl",
@@ -78,7 +83,8 @@ class WavePacket:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Relative phase-space coordinates r = r1 - r2, p = (p1 - p2)/2."""
+    """Phase-space point: the relative r = r1 - r2, p = (p1 - p2)/2 of two
+    packets, and the Wigner argument (r, q) of `wigner3d` (`PhasePoint3D`)."""
 
     r_vec: tuple
     p_vec: tuple
@@ -98,10 +104,34 @@ class PhasePoint:
     @classmethod
     def from_invariants(cls, r, p, theta):
         """Canonical point with |r| = r, |p| = p and opening angle theta."""
-        return cls((r, 0.0, 0.0), (p * math.cos(theta), p * math.sin(theta), 0.0))
+        rel_r, rel_p = canonical_points([r], [p], [theta])
+        return cls(rel_r[0], rel_p[0])
+
+    @property
+    def r2(self):
+        return sum(x * x for x in self.r_vec)
+
+    @property
+    def p2(self):
+        return sum(x * x for x in self.p_vec)
+
+    @property
+    def rp(self):
+        return sum(a * b for a, b in zip(self.r_vec, self.p_vec))
 
     def invariants(self, params):
         return v_and_t(self.r_vec, self.p_vec, params)
+
+
+def canonical_points(r, p, theta):
+    """(n, 3) r and p vectors with |r| = r, |p| = p at angle theta, r along x.
+
+    `math.cos` per point, since numpy's vectorized cos may round differently.
+    """
+    cos = np.array([math.cos(th) for th in theta])
+    sin = np.array([math.sin(th) for th in theta])
+    zero = np.zeros(len(cos))
+    return np.column_stack([r, zero, zero]), np.column_stack([p * cos, p * sin, zero])
 
 
 def v_and_t(rel_r, rel_p, params):
@@ -180,31 +210,37 @@ def p_kl(k, l, rel, params):
     return float(p_kl_batch([(k, l)], [rel.r_vec], [rel.p_vec], params)[(k, l)][0])
 
 
-_CLOSED_P = {
-    (0, 0): lambda v, t: 1.0,
-    (0, 1): lambda v, t: v,
-    (0, 2): lambda v, t: 0.5 * (2.0 / 3.0 * v * v + t / 3.0),
-    (1, 0): lambda v, t: 0.5 * (v * v / 3.0 - t / 3.0),
-    (0, 3): lambda v, t: (0.4 * v**3 + 0.6 * v * t) / 6.0,
-    (1, 1): lambda v, t: (0.6 * v**3 - 0.6 * v * t) / 6.0,
-}
+@lru_cache(maxsize=None)
+def _husimi_terms(k, l):
+    """e^v P_kl at zeta = 1 as exact terms (i, j, c) of c v^i s^j, s = v^2 - t.
+
+    The solid-harmonic expansion of the Bargmann coherent state (V. Bargmann,
+    Comm. Pure Appl. Math. 14 (1961) 187) gives
+
+        e^v P_kl = (2l+1) s^k L_l / (2^k k! (2k+2l+1)!!),
+        L_l = 2^{-l} sum_{i <= l/2} (-1)^i C(l, i) C(2l-2i, l) v^{l-2i} s^i.
+    """
+    norm = Fraction(2 * l + 1, 2 ** (k + l) * math.factorial(k))
+    norm /= double_factorial(2 * k + 2 * l + 1)
+    return tuple(
+        (l - 2 * i, k + i, norm * (-1) ** i * math.comb(l, i) * math.comb(2 * l - 2 * i, l))
+        for i in range(l // 2 + 1)
+    )
 
 
 def p_kl_closed(k, l, v, t):
-    """Closed-form probabilities at zeta = 1 for the shells N = 2k + l <= 3.
+    """Closed-form P_kl at zeta = 1 for every level, e.g. P_10 = e^-v (v^2 - t)/6.
 
-    P_00 = e^-v,            P_01 = e^-v v,
-    P_02 = e^-v (2v^2 + t)/6,     P_10 = e^-v (v^2 - t)/6,
-    P_03 = e^-v (2v^3 + 3vt)/30,  P_11 = e^-v (3v^3 - 3vt)/30.
     Requires 0 <= t <= v^2 (Cauchy-Schwarz for the dimensionless invariants).
     """
-    if (k, l) not in _CLOSED_P:
-        raise ValueError(f"no closed form for (k, l) = ({k}, {l}); shells N <= 3 only")
+    if k < 0 or l < 0:
+        raise ValueError(f"no closed form for (k, l) = ({k}, {l}); k and l must be nonnegative")
     if v < 0 or t < -1e-12:
         raise ValueError(f"invariants must be nonnegative, got v={v}, t={t}")
     if t > v * v * (1 + 1e-9) + 1e-12:
         raise ValueError(f"t <= v^2 violated: v={v}, t={t}")
-    return math.exp(-v) * _CLOSED_P[(k, l)](v, t)
+    s = v * v - t
+    return math.exp(-v) * sum(float(c) * v**i * s**j for i, j, c in _husimi_terms(k, l))
 
 
 def poisson_sum(N, rel, params):

@@ -20,7 +20,8 @@ finite binomial convolution, equal (where defined) to a terminating Gauss
 hypergeometric value at argument -1.
 
 An independent Gauss-Hermite quadrature oracle evaluates the defining overlap
-integral directly; the test suite keeps the two routes in agreement.
+integral of the eigenfunction `psi_klm` directly; the test suite keeps the
+two routes in agreement.
 """
 
 import math
@@ -30,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import _gh_grid, _read_only, double_factorial
+from .ho1d import OscParams, phi_n
+from .specfun import _gh_grid, _read_only, assoc_laguerre, double_factorial, spherical_harmonic
 
 __all__ = [
     "Ame",
@@ -47,6 +49,7 @@ __all__ = [
     "bilinear_table",
     "norm_squared_exact",
     "overlap_s_part",
+    "psi_klm",
 ]
 
 
@@ -67,6 +70,44 @@ class Ame:
     @property
     def energy_quantum(self):
         return 2 * self.k + self.l
+
+
+def psi_klm(state, r, theta, phi, params):
+    """Angular-momentum eigenfunction Psi_klm(r, theta, phi), L2-normalized."""
+    k, l, m = state.k, state.l, state.m
+    nu = params.nu
+    pref = math.sqrt(
+        nu**3
+        * 2.0 ** (k + l + 2)
+        * math.factorial(k)
+        / (math.sqrt(math.pi) * float(double_factorial(2 * k + 2 * l + 1)))
+    )
+    x = nu * np.asarray(r, dtype=float)
+    out = (
+        pref
+        * x**l
+        * np.exp(-0.5 * x * x)
+        * assoc_laguerre(k, l + Fraction(1, 2), x * x)
+        * spherical_harmonic(l, m, theta, phi)
+    )
+    if np.ndim(out) == 0:
+        return complex(out)
+    return out
+
+
+def _psi_cartesian(state, xyz, params):
+    """Psi_klm at cartesian points, xyz of shape (..., 3)."""
+    xyz = np.asarray(xyz, dtype=float)
+    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+    r = np.sqrt(x * x + y * y + z * z)
+    with np.errstate(invalid="ignore"):
+        ct = np.divide(z, r, out=np.zeros_like(r), where=r > 0)
+    theta = np.arccos(np.clip(ct, -1.0, 1.0))
+    phi = np.arctan2(y, x)
+    out = psi_klm(state, r, theta, phi, params)
+    if state.l > 0:
+        out = np.where(r > 0, out, 0.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,8 +312,6 @@ def coeff_oracle(state, triple):
     exact up to roundoff.  Guarded to shells N = 2k + l <= ORACLE_MAX_N to
     bound cost.
     """
-    from .ho1d import OscParams, phi_n
-
     N = state.energy_quantum
     if N > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to 2k + l <= {ORACLE_MAX_N}, got N={N}")
@@ -296,9 +335,6 @@ def _oracle_grid(state):
 
     Shared by every triple of the state; at most 165 states are cached.
     """
-    from .ho1d import OscParams
-    from .wigner3d import _psi_cartesian
-
     tt, w3, gauss = _oracle_nodes((state.energy_quantum + state.l) // 2 + 9)
     return (tt, w3, gauss) + _read_only(_psi_cartesian(state, tt, OscParams(nu=1.0)))
 

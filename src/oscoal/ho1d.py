@@ -87,18 +87,6 @@ class Phase1D:
     x: float
     q: float
 
-    def u(self, params):
-        """Dimensionless squared radius 2 (q^2/(hbar nu)^2 + nu^2 x^2)."""
-        eta = self.q / (params.hbar * params.nu)
-        return 2.0 * (eta * eta + (params.nu * self.x) ** 2)
-
-    def zeta_angle(self, params):
-        """Phase-space polar angle, tan = q / (hbar nu^2 x).
-
-        Not to be confused with the scale ratio zeta = 2 delta nu.
-        """
-        return math.atan2(self.q, params.hbar * params.nu**2 * self.x)
-
 
 def phi_n(n, x, params):
     """Normalized oscillator eigenfunction phi_n(x); accepts array x."""

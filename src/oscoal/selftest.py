@@ -18,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import coalescence, expansion, ho1d, wigner3d, yields
+from .coalescence import PhasePoint
 from .expansion import Ame, FeTriple
 from .ho1d import OscParams, Phase1D
 from .specfun import _gh_grid, gauss_2f1_neg1, spherical_harmonic
-from .wigner3d import PhasePoint3D
 
 __all__ = ["CheckResult", "run_selftest", "all_states_through", "REFERENCE_COEFFICIENTS"]
 
@@ -344,17 +344,17 @@ def _check_wigner3d_consistency():
         for _ in range(6):
             rv = rng.uniform(-1.3, 1.3, 3)
             qv = rng.uniform(-1.3, 1.3, 3)
-            pt = PhasePoint3D(tuple(rv), tuple(qv))
+            pt = PhasePoint(tuple(rv), tuple(qv))
             a = wigner3d.wigner_kl(k, l, pt, params)
-            b = wigner3d.wigner_kl_closed(k, l, pt.r2, pt.q2, pt.rq, params)
+            b = wigner3d.wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
             md_closed = max(md_closed, abs(a - b))
             # nu r <-> q/(hbar nu) mirror and rotation invariance
-            mirror = PhasePoint3D(tuple(qv), tuple(rv))
+            mirror = PhasePoint(tuple(qv), tuple(rv))
             md_sym = max(md_sym, abs(a - wigner3d.wigner_kl(k, l, mirror, params)))
             mat = np.linalg.qr(rng.normal(size=(3, 3)))[0]
             if np.linalg.det(mat) < 0:
                 mat[:, 0] = -mat[:, 0]
-            rot = PhasePoint3D(tuple(mat @ rv), tuple(mat @ qv))
+            rot = PhasePoint(tuple(mat @ rv), tuple(mat @ qv))
             md_sym = max(md_sym, abs(a - wigner3d.wigner_kl(k, l, rot, params)))
     ok = md_closed <= 1e-12 and md_sym <= 1e-12
     return CheckResult("3-D Wigner factorized vs closed; symmetries",
@@ -367,7 +367,7 @@ def _check_wigner3d_oracle():
     md = 0.0
     for k, l in wigner3d.CLOSED_FORM_STATES:
         for _ in range(3):
-            pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             md = max(md, abs(wigner3d.wigner_kl(k, l, pt, params)
                              - wigner3d.wigner_kl_oracle(k, l, pt, params)))
     # normalization of the derived polynomials: the exact moment identity for
@@ -388,7 +388,7 @@ def _check_multiplet_trace():
     md = 0.0
     for N in (1, 2, 3):
         for _ in range(4):
-            pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             direct = sum(
                 wigner3d.wigner_klm(Ame(k, l, m), pt, params).real
                 for k, l in coalescence.shell_states(N)
@@ -412,7 +412,7 @@ def _check_coalescence_closed():
     for _ in range(25):
         rv = rng.uniform(-1.5, 1.5, 3)
         pv = rng.uniform(-1.5, 1.5, 3)
-        rel = coalescence.PhasePoint(tuple(rv), tuple(pv))
+        rel = PhasePoint(tuple(rv), tuple(pv))
         v, t = coalescence.v_and_t(rv, pv, params)
         for k, l in ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1)):
             md_closed = max(
@@ -428,10 +428,8 @@ def _check_coalescence_closed():
                 ),
             )
     thetas = np.linspace(0, math.pi / 2, 25)
-    p03 = [coalescence.p_kl(0, 3, coalescence.PhasePoint.from_invariants(1, 1, th), params)
-           for th in thetas]
-    p11 = [coalescence.p_kl(1, 1, coalescence.PhasePoint.from_invariants(1, 1, th), params)
-           for th in thetas]
+    p03 = [coalescence.p_kl(0, 3, PhasePoint.from_invariants(1, 1, th), params) for th in thetas]
+    p11 = [coalescence.p_kl(1, 1, PhasePoint.from_invariants(1, 1, th), params) for th in thetas]
     mono = all(b >= a - 1e-14 for a, b in zip(p03, p03[1:])) and all(
         b <= a + 1e-14 for a, b in zip(p11, p11[1:])
     )
@@ -448,8 +446,7 @@ def _check_coalescence_oracle():
     for z in (0.5, 1.0, 2.0):
         params = OscParams.from_zeta(1.0, z)
         for _ in range(4):
-            rel = coalescence.PhasePoint(tuple(rng.uniform(-1.2, 1.2, 3)),
-                                         tuple(rng.uniform(-1.2, 1.2, 3)))
+            rel = PhasePoint(tuple(rng.uniform(-1.2, 1.2, 3)), tuple(rng.uniform(-1.2, 1.2, 3)))
             for k, l in ((0, 0), (0, 1), (0, 2), (1, 0)):
                 md = max(md, abs(coalescence.p_kl(k, l, rel, params)
                                  - coalescence.p_kl_oracle(k, l, rel, params)))

@@ -12,9 +12,13 @@ nu r <-> q/(hbar nu); it depends on the point only through the invariants
 
     a = nu^2 r^2,  b = q^2/(hbar nu)^2,  c = (r.q)^2/hbar^2.
 
+A point (r, q) is a `coalescence.PhasePoint` (alias `PhasePoint3D`), with q
+held in its `p_vec`.
+
 For each (k, l) the ratio W_kl / W_00 is a polynomial in (a, b, c) with
 rational coefficients.  `derive_invariant_poly` computes it exactly from the
-zeta = 1 coalescence probability: in the reduced variables x = (xi, eta),
+zeta = 1 coalescence probability, whose exact terms `coalescence._husimi_terms`
+holds: in the reduced variables x = (xi, eta),
 P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
 e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, and the
 inverse heat flow P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite
@@ -33,15 +37,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expansion import Ame, _coeff_matrix, bilinear_assemble, bilinear_table
+from .coalescence import PhasePoint, _husimi_terms
+from .expansion import Ame, _coeff_matrix, _psi_cartesian, bilinear_assemble, bilinear_table
+from .expansion import psi_klm
 from .expansion import d_coeff_reduced  # unused here; perfbench/spans.py wraps this name
 from .ho1d import Phase1D, wigner_1d
-from .specfun import _gh_grid, assoc_laguerre, double_factorial, spherical_harmonic
+from .specfun import _gh_grid, double_factorial, spherical_harmonic
 
 __all__ = [
     "PhasePoint3D",
     "WignerGrid",
-    "psi_klm",
     "wigner_klm",
     "wigner_kl",
     "wigner_kl_closed",
@@ -54,81 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhasePoint3D:
-    """Phase-space point (r, q) in 3-D, stored as plain tuples."""
-
-    r_vec: tuple
-    q_vec: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_vec", tuple(float(v) for v in self.r_vec))
-        object.__setattr__(self, "q_vec", tuple(float(v) for v in self.q_vec))
-        if len(self.r_vec) != 3 or len(self.q_vec) != 3:
-            raise ValueError("r_vec and q_vec must have three components")
-
-    @classmethod
-    def from_invariants(cls, r, q, theta):
-        """Canonical representative with |r| = r, |q| = q, angle theta."""
-        return cls((r, 0.0, 0.0), (q * math.cos(theta), q * math.sin(theta), 0.0))
-
-    @property
-    def r2(self):
-        return sum(v * v for v in self.r_vec)
-
-    @property
-    def q2(self):
-        return sum(v * v for v in self.q_vec)
-
-    @property
-    def rq(self):
-        return sum(a * b for a, b in zip(self.r_vec, self.q_vec))
-
-    @property
-    def cos_theta(self):
-        rr = math.sqrt(self.r2)
-        qq = math.sqrt(self.q2)
-        if rr == 0 or qq == 0:
-            return 0.0
-        return self.rq / (rr * qq)
-
-
-def psi_klm(state, r, theta, phi, params):
-    """Angular-momentum eigenfunction Psi_klm(r, theta, phi), L2-normalized."""
-    k, l, m = state.k, state.l, state.m
-    nu = params.nu
-    pref = math.sqrt(
-        nu**3
-        * 2.0 ** (k + l + 2)
-        * math.factorial(k)
-        / (math.sqrt(math.pi) * float(double_factorial(2 * k + 2 * l + 1)))
-    )
-    x = nu * np.asarray(r, dtype=float)
-    out = (
-        pref
-        * x**l
-        * np.exp(-0.5 * x * x)
-        * assoc_laguerre(k, l + Fraction(1, 2), x * x)
-        * spherical_harmonic(l, m, theta, phi)
-    )
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
-
-
-def _psi_cartesian(state, xyz, params):
-    """Psi_klm at cartesian points, xyz of shape (..., 3)."""
-    xyz = np.asarray(xyz, dtype=float)
-    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
-    r = np.sqrt(x * x + y * y + z * z)
-    with np.errstate(invalid="ignore"):
-        ct = np.divide(z, r, out=np.zeros_like(r), where=r > 0)
-    theta = np.arccos(np.clip(ct, -1.0, 1.0))
-    phi = np.arctan2(y, x)
-    out = psi_klm(state, r, theta, phi, params)
-    if state.l > 0:
-        out = np.where(r > 0, out, 0.0)
-    return out
+PhasePoint3D = PhasePoint  # the point (r, q); perfbench and oscoal.__all__ import this name
 
 
 def _wigner_1d_matrix(nmax, x, q, params):
@@ -145,7 +76,7 @@ def _wigner_1d_matrix(nmax, x, q, params):
 
 def _axis_matrices(N, pt, params):
     """The three per-axis matrices W_{n' n}(r_i, q_i), n', n <= N."""
-    return [_wigner_1d_matrix(N, pt.r_vec[i], pt.q_vec[i], params) for i in range(3)]
+    return [_wigner_1d_matrix(N, pt.r_vec[i], pt.p_vec[i], params) for i in range(3)]
 
 
 def wigner_klm(state, pt, params):
@@ -190,19 +121,16 @@ def _mul(p, q):
 def _husimi_poly(k, l):
     """p = e^v P_kl at zeta = 1, exactly, as a polynomial in (a, b, c).
 
-    p = (2l+1) s^k L_l / (2^k k! (2k+2l+1)!!) with v = (a+b)/2,
-    s = v^2 - t = (a-b)^2/4 + c and
-    L_l = 2^{-l} sum_{i <= l/2} (-1)^i C(l, i) C(2l-2i, l) v^{l-2i} s^i.
+    Substitutes v = (a+b)/2 and s = v^2 - t = (a-b)^2/4 + c into the terms
+    c v^i s^j of `coalescence._husimi_terms`.
     """
     v = {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 2)}
     s = {(2, 0, 0): Fraction(1, 4), (1, 1, 0): Fraction(-1, 2), (0, 2, 0): Fraction(1, 4),
          (0, 0, 1): Fraction(1)}
-    norm = Fraction(2 * l + 1, 2 ** (k + l) * math.factorial(k))
-    norm /= double_factorial(2 * k + 2 * l + 1)
     out = {}
-    for i in range(l // 2 + 1):
-        term = {(0, 0, 0): norm * (-1) ** i * math.comb(l, i) * math.comb(2 * l - 2 * i, l)}
-        for factor in [v] * (l - 2 * i) + [s] * (k + i):
+    for i, j, cf in _husimi_terms(k, l):
+        term = {(0, 0, 0): cf}
+        for factor in [v] * i + [s] * j:
             term = _mul(term, factor)
         for key, c in term.items():
             out[key] = out.get(key, 0) + c
@@ -411,7 +339,7 @@ def wigner_klm_oracle(state, pt, params):
     def pair(a, b):
         return np.conj(_psi_cartesian(state, a, params)) * _psi_cartesian(state, b, params)
 
-    return _transform_oracle(pair, pt.r_vec, pt.q_vec, params)
+    return _transform_oracle(pair, pt.r_vec, pt.p_vec, params)
 
 
 def wigner_kl_oracle(k, l, pt, params):
@@ -432,7 +360,7 @@ def wigner_kl_oracle(k, l, pt, params):
         legendre = spherical_harmonic(l, 0, np.arccos(np.clip(cos_g, -1.0, 1.0)), 0) / y_l0
         return psi_klm(radial, ra, 0, 0, params) * psi_klm(radial, rb, 0, 0, params) * legendre
 
-    return _transform_oracle(pair, pt.r_vec, pt.q_vec, params).real / (2 * l + 1)
+    return _transform_oracle(pair, pt.r_vec, pt.p_vec, params).real / (2 * l + 1)
 
 
 # ---------------------------------------------------------------------------

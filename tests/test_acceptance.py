@@ -16,9 +16,10 @@ import pytest
 from conftest import random_rotation
 from oscoal import coalescence, expansion, ho1d, wigner3d, yields
 from oscoal.expansion import Ame, FeTriple
+from oscoal.coalescence import PhasePoint
 from oscoal.ho1d import OscParams
 from oscoal.selftest import REFERENCE_COEFFICIENTS, all_states_through, run_selftest
-from oscoal.wigner3d import CLOSED_FORM_STATES, PhasePoint3D
+from oscoal.wigner3d import CLOSED_FORM_STATES
 
 F = Fraction
 
@@ -85,7 +86,7 @@ def test_04_wigner3d_consistency(params):
     md_oracle = 0.0
     for k, l in CLOSED_FORM_STATES:
         for _ in range(50):
-            pt = PhasePoint3D(tuple(rng.uniform(-1.2, 1.2, 3)), tuple(rng.uniform(-1.2, 1.2, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1.2, 1.2, 3)), tuple(rng.uniform(-1.2, 1.2, 3)))
             md_oracle = max(
                 md_oracle,
                 abs(wigner3d.wigner_kl(k, l, pt, params) - wigner3d.wigner_kl_oracle(k, l, pt, params)),
@@ -99,12 +100,12 @@ def test_04_wigner3d_consistency(params):
     for k, l in CLOSED_FORM_STATES:
         for _ in range(10):
             rv, qv = rng.uniform(-1.2, 1.2, (2, 3))
-            a = wigner3d.wigner_kl(k, l, PhasePoint3D(tuple(rv), tuple(qv)), params)
+            a = wigner3d.wigner_kl(k, l, PhasePoint(tuple(rv), tuple(qv)), params)
             rot = random_rotation(rng)
             md_sym = max(
                 md_sym,
-                abs(a - wigner3d.wigner_kl(k, l, PhasePoint3D(tuple(rot @ rv), tuple(rot @ qv)), params)),
-                abs(a - wigner3d.wigner_kl(k, l, PhasePoint3D(tuple(qv), tuple(rv)), params)),
+                abs(a - wigner3d.wigner_kl(k, l, PhasePoint(tuple(rot @ rv), tuple(rot @ qv)), params)),
+                abs(a - wigner3d.wigner_kl(k, l, PhasePoint(tuple(qv), tuple(rv)), params)),
             )
     ok = md_oracle <= 1e-8 and md_norm <= 1e-8 and md_sym <= 1e-12
     report(4, "3-D Wigner: transform oracle, normalization, symmetries", ok,
@@ -116,12 +117,12 @@ def test_05_closed_forms_and_typo_flags(params):
     md = 0.0
     for k, l in CLOSED_FORM_STATES:
         for _ in range(25):
-            pt = PhasePoint3D(tuple(rng.uniform(-1.5, 1.5, 3)), tuple(rng.uniform(-1.5, 1.5, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1.5, 1.5, 3)), tuple(rng.uniform(-1.5, 1.5, 3)))
             md = max(
                 md,
                 abs(
                     wigner3d.wigner_kl(k, l, pt, params)
-                    - wigner3d.wigner_kl_closed(k, l, pt.r2, pt.q2, pt.rq, params)
+                    - wigner3d.wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
                 ),
             )
     # every selftest group passes, and the two documented deviations from

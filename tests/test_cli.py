@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -392,6 +393,15 @@ class TestFiguresCommand:
         assert run(argv) == EXIT_USAGE
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("extra", [["--zeta", "3"], ["--delta", "0.5"]], ids=["zeta", "delta"])
+    def test_figure2_rejects_zeta_and_delta(self, extra, tmp_path, monkeypatch, capsys):
+        # figure 2 scans its own zeta set, so these would be silently ignored
+        monkeypatch.setattr("oscoal.cli._figure2", _must_not_compute)
+        outdir = tmp_path / "figs"
+        assert run(["figures", "2", "--outdir", str(outdir), *extra]) == EXIT_USAGE
+        assert "no --zeta or --delta" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_figure3_matches_p_kl(self, tmp_path, capsys):
         from oscoal.coalescence import PhasePoint, p_kl, v_and_t
 
@@ -419,6 +429,43 @@ class TestFiguresCommand:
         assert all(b >= a - 1e-14 for a, b in zip(p03, p03[1:]))
         assert all(b <= a + 1e-14 for a, b in zip(p11, p11[1:]))
         assert p03[-1] == max(p03) and p11[-1] == min(p11)
+
+
+class TestRowCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [["prob", "--grid", "r:0:3:100000,p:0:3:100000"],
+         ["prob", "--k", "0", "--l", "0", "--grid", "r:0:3:100000000000"],
+         ["wigner", "--k", "0", "--l", "0", "--grid", "r:0:3:100000,q:0:3:100000"],
+         ["figures", "1", "--resolution", "100000"]],
+        ids=["prob", "prob-axis", "wigner", "figures-1"],
+    )
+    def test_oversize_before_compute(self, argv, tmp_path, monkeypatch, capsys):
+        # numpy would need tens to hundreds of GiB for each of these
+        for name in ("p_kl_batch", "export_grid", "_figure1"):
+            monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
+        out = tmp_path / "out"
+        dest = ["--outdir", str(out)] if argv[0] == "figures" else ["--out", str(out)]
+        assert run([*argv, *dest]) == EXIT_USAGE
+        assert "at most 10000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [(["prob", "--grid", "r:0:1:2,p:0:1:3,theta:0,1"], 2 * 3 * 2 * 6),
+         (["prob", "--k", "1", "--l", "0", "--grid", "r:0:1:2,p:0:1:3,theta:0,1"], 12),
+         (["wigner", "--k", "0", "--l", "1", "--grid", "r:0:1:2,q:0:1:3,theta:0,1"], 12),
+         (["figures", "1", "--resolution", "3"], 3 * 3 * 5),
+         (["figures", "2", "--resolution", "3"], 3 * 3),
+         (["figures", "3", "--resolution", "3"], 3)],
+        ids=["prob-all-levels", "prob-one-level", "wigner", "figures-1", "figures-2", "figures-3"],
+    )
+    def test_cap_counts_rows_of_one_file(self, argv, rows, tmp_path, monkeypatch, capsys):
+        dest = ["--outdir", str(tmp_path)] if argv[0] == "figures" else ["--out", str(tmp_path / "x")]
+        monkeypatch.setattr("oscoal.cli.MAX_ROWS", rows - 1)
+        assert run([*argv, *dest]) == EXIT_USAGE
+        monkeypatch.setattr("oscoal.cli.MAX_ROWS", rows)
+        assert run([*argv, *dest]) == EXIT_OK
 
 
 class TestParamHandling:
@@ -541,3 +588,14 @@ class TestBenchmarkContract:
         spans = _load_perfbench("spans")
         for module, attr, *_ in spans.WRAPPED:
             assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    def test_oracle_imports_resolve(self):
+        # found by parsing, so that perfbench is never imported
+        tree = ast.parse((PERFBENCH / "oracles.py").read_text())
+        names = [(node.module, alias.name) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "oscoal"
+                 for alias in node.names]
+        assert names
+        for module, attr in names:
+            assert hasattr(importlib.import_module(module), attr), (module, attr)

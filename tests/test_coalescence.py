@@ -23,6 +23,17 @@ from oscoal.expansion import bilinear_assemble, bilinear_table
 from oscoal.ho1d import OscParams, quasi_amplitudes, quasi_prob_table
 
 LEVELS_N3 = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
+LEVELS_N8 = tuple(lv for N in range(9) for lv in shell_states(N))
+
+# The paper's printed zeta = 1 forms e^v P_kl(v, t) for the shells N <= 3.
+PRINTED_N3 = {
+    (0, 0): lambda v, t: 1.0,
+    (0, 1): lambda v, t: v,
+    (0, 2): lambda v, t: (2 * v**2 + t) / 6,
+    (1, 0): lambda v, t: (v**2 - t) / 6,
+    (0, 3): lambda v, t: (2 * v**3 + 3 * v * t) / 30,
+    (1, 1): lambda v, t: (3 * v**3 - 3 * v * t) / 30,
+}
 
 
 class TestInvariants:
@@ -81,26 +92,20 @@ class TestPKl:
         assert p_kl(0, 1, PhasePoint((0, 0, 0), (0, 0, 0)), params) == pytest.approx(0.0, abs=1e-15)
 
     def test_closed_forms_match_factorized(self, params, rng):
-        for _ in range(15):
-            rv, pv = rng.uniform(-1.5, 1.5, (2, 3))
-            rel = PhasePoint(tuple(rv), tuple(pv))
-            v, t = v_and_t(rv, pv, params)
-            for k, l in LEVELS_N3:
-                assert p_kl(k, l, rel, params) == pytest.approx(
-                    p_kl_closed(k, l, v, t), abs=1e-12
-                )
+        rel_r, rel_p = rng.uniform(-1.5, 1.5, (2, 15, 3))
+        batch = p_kl_batch(LEVELS_N8, rel_r, rel_p, params)
+        for i, (v, t) in enumerate(zip(*v_and_t(rel_r, rel_p, params))):
+            for k, l in LEVELS_N8:
+                assert batch[(k, l)][i] == pytest.approx(p_kl_closed(k, l, v, t), abs=1e-12)
 
     def test_closed_forms_at_generic_units(self, rng):
         # zeta = 1 with nu, hbar away from 1: delta = 1/(2 nu)
         p = OscParams(nu=1.6, delta=1 / 3.2, hbar=0.75)
-        for _ in range(8):
-            rv, pv = rng.uniform(-1, 1, (2, 3))
-            rel = PhasePoint(tuple(rv), tuple(pv))
-            v, t = v_and_t(rv, pv, p)
-            for k, l in LEVELS_N3:
-                assert p_kl(k, l, rel, p) == pytest.approx(
-                    p_kl_closed(k, l, v, t), abs=1e-12
-                )
+        rel_r, rel_p = rng.uniform(-1, 1, (2, 8, 3))
+        batch = p_kl_batch(LEVELS_N8, rel_r, rel_p, p)
+        for i, (v, t) in enumerate(zip(*v_and_t(rel_r, rel_p, p))):
+            for k, l in LEVELS_N8:
+                assert batch[(k, l)][i] == pytest.approx(p_kl_closed(k, l, v, t), abs=1e-12)
 
     def test_general_zeta_against_quadrature_oracle(self, rng):
         for z in (0.5, 1.0, 2.0):
@@ -187,6 +192,13 @@ class TestPKl:
 
 
 class TestClosedForms:
+    def test_printed_forms(self, rng):
+        for v in np.concatenate([[0.0, 1.0], rng.uniform(0, 4, 40)]).tolist():
+            for t in (0.0, v * v, *rng.uniform(0, v * v, 3).tolist()):
+                for (k, l), form in PRINTED_N3.items():
+                    assert p_kl_closed(k, l, v, t) == pytest.approx(
+                        math.exp(-v) * form(v, t), abs=1e-15)
+
     def test_p01_at_v1(self):
         assert p_kl_closed(0, 1, 1.0, 0.3) == pytest.approx(math.exp(-1), rel=1e-14)
         assert p_kl_closed(0, 1, 1.0, 0.7) == pytest.approx(0.3678794412, abs=1e-10)
@@ -208,7 +220,7 @@ class TestClosedForms:
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError, match="closed form"):
-            p_kl_closed(2, 0, 1.0, 0.0)
+            p_kl_closed(-1, 0, 1.0, 0.0)
 
     def test_unphysical_t_rejected(self):
         with pytest.raises(ValueError, match="violated"):

@@ -72,15 +72,6 @@ class TestOscParams:
                 OscParams.from_zeta(nu, zeta)
 
 
-class TestPhase1D:
-    def test_u_and_angle(self):
-        p = OscParams(nu=2.0, delta=0.25, hbar=0.5)
-        ph = Phase1D(x=0.3, q=-0.4)
-        expected_u = 2 * ((-0.4) ** 2 / (0.5 * 2.0) ** 2 + (2.0 * 0.3) ** 2)
-        assert ph.u(p) == pytest.approx(expected_u, rel=1e-15)
-        assert ph.zeta_angle(p) == pytest.approx(math.atan2(-0.4, 0.5 * 4.0 * 0.3))
-
-
 class TestPhiN:
     def test_ground_state_peak(self, params):
         assert phi_n(0, 0.0, params) == pytest.approx((1 / math.pi) ** 0.25, rel=1e-14)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
-from oscoal.coalescence import p_kl_batch, shell_states
-from oscoal.expansion import Ame, coeff, degenerate_subspace
+from oscoal.coalescence import PhasePoint, canonical_points, p_kl_batch, shell_states
+from oscoal.expansion import Ame, coeff, degenerate_subspace, psi_klm
 from oscoal.gridio import read_wigner_grid, write_wigner_grid
 from oscoal.ho1d import OscParams, phi_n
 from oscoal.wigner3d import (
@@ -22,7 +22,6 @@ from oscoal.wigner3d import (
     derive_invariant_poly,
     export_grid,
     level_crossings,
-    psi_klm,
     wigner_kl,
     wigner_kl_closed,
     wigner_kl_oracle,
@@ -34,18 +33,33 @@ F = Fraction
 
 
 class TestPhasePoint3D:
+    def test_alias(self):
+        # the Wigner argument (r, q) is the relative point of coalescence
+        assert PhasePoint3D is PhasePoint
+
     def test_invariants(self):
         pt = PhasePoint3D((1.0, 2.0, 2.0), (0.0, 3.0, -4.0))
         assert pt.r2 == 9.0
-        assert pt.q2 == 25.0
-        assert pt.rq == -2.0
-        assert abs(pt.rq) <= math.sqrt(pt.r2 * pt.q2)
+        assert pt.p2 == 25.0
+        assert pt.rp == -2.0
+        assert abs(pt.rp) <= math.sqrt(pt.r2 * pt.p2)
 
     def test_from_invariants(self):
         pt = PhasePoint3D.from_invariants(2.0, 3.0, math.pi / 3)
         assert pt.r2 == pytest.approx(4.0)
-        assert pt.q2 == pytest.approx(9.0)
-        assert pt.cos_theta == pytest.approx(0.5)
+        assert pt.p2 == pytest.approx(9.0)
+        assert pt.rp == pytest.approx(2.0 * 3.0 * 0.5)
+
+    def test_from_invariants_matches_canonical_points_bitwise(self, rng):
+        r, p = rng.uniform(0, 3, (2, 40))
+        theta = np.concatenate([rng.uniform(-4, 4, 37), [0.0, math.pi / 2, math.pi]])
+        rel_r, rel_p = canonical_points(r, p, theta)
+        for i, (ri, pi, th) in enumerate(zip(r.tolist(), p.tolist(), theta.tolist())):
+            pt = PhasePoint.from_invariants(ri, pi, th)
+            scalar = [ri, 0.0, 0.0, pi * math.cos(th), pi * math.sin(th), 0.0]
+            got = np.array(pt.r_vec + pt.p_vec)
+            assert got.tobytes() == np.concatenate([rel_r[i], rel_p[i]]).tobytes()
+            assert got.tobytes() == np.array(scalar).tobytes()
 
 
 class TestPsiKlm:
@@ -88,17 +102,17 @@ class TestPsiKlm:
 
 class TestWignerKlm:
     def test_ground_state_peak(self, params):
-        got = wigner_klm(Ame(0, 0, 0), PhasePoint3D((0, 0, 0), (0, 0, 0)), params)
+        got = wigner_klm(Ame(0, 0, 0), PhasePoint((0, 0, 0), (0, 0, 0)), params)
         assert got.real == pytest.approx(1 / math.pi**3, rel=1e-14)
 
     def test_diagonal_reality(self, params, rng):
         for k, l, m in ((0, 1, 1), (0, 2, -2), (1, 1, 0), (0, 3, 3)):
-            pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             assert abs(wigner_klm(Ame(k, l, m), pt, params).imag) < 1e-12
 
     def test_against_transform_oracle(self, params, rng):
         for k, l, m in ((0, 1, 1), (1, 0, 0), (0, 2, -1)):
-            pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             a = wigner_klm(Ame(k, l, m), pt, params)
             b = wigner_klm_oracle(Ame(k, l, m), pt, params)
             assert a == pytest.approx(b, abs=1e-8)
@@ -107,7 +121,7 @@ class TestWignerKlm:
         for k, l in ((1, 1), (0, 3)):
             for m in range(-l, l + 1):
                 for _ in range(2):
-                    pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+                    pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
                     a = wigner_klm(Ame(k, l, m), pt, params)
                     b = wigner_klm_oracle(Ame(k, l, m), pt, params)
                     assert a == pytest.approx(b, abs=1e-8)
@@ -115,7 +129,7 @@ class TestWignerKlm:
     def test_oracle_at_generic_units(self, rng):
         p = OscParams(nu=1.4, delta=0.3, hbar=0.8)
         for k, l, m in ((0, 1, -1), (1, 1, 1)):
-            pt = PhasePoint3D(tuple(rng.uniform(-0.7, 0.7, 3)), tuple(rng.uniform(-0.9, 0.9, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-0.7, 0.7, 3)), tuple(rng.uniform(-0.9, 0.9, 3)))
             a = wigner_klm(Ame(k, l, m), pt, p)
             b = wigner_klm_oracle(Ame(k, l, m), pt, p)
             assert a == pytest.approx(b, abs=1e-8)
@@ -126,33 +140,33 @@ class TestWignerKlm:
         p = OscParams(nu=1.3, delta=0.5, hbar=0.8)
         for k, l in CLOSED_FORM_STATES:
             for _ in range(3):
-                pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+                pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
                 per_m = sum(wigner_klm_oracle(Ame(k, l, m), pt, p).real for m in range(-l, l + 1))
                 assert wigner_kl_oracle(k, l, pt, p) == pytest.approx(per_m / (2 * l + 1), abs=1e-12)
 
 
 class TestWignerKl:
     def test_peak_value(self, params):
-        got = wigner_kl(0, 0, PhasePoint3D((0, 0, 0), (0, 0, 0)), params)
+        got = wigner_kl(0, 0, PhasePoint((0, 0, 0), (0, 0, 0)), params)
         assert got == pytest.approx(0.03225153444, abs=1e-11)
 
     def test_l1_node_location(self, params):
         # node where nu^2 r^2 + q^2/(hbar nu)^2 = 3/2
         r = math.sqrt(0.9)
         q = math.sqrt(0.6)
-        pt = PhasePoint3D((r, 0, 0), (0, q, 0))
+        pt = PhasePoint((r, 0, 0), (0, q, 0))
         assert abs(wigner_kl(0, 1, pt, params)) < 1e-15
 
     def test_matches_closed_form_11(self, params, rng):
         for _ in range(10):
-            pt = PhasePoint3D(tuple(rng.uniform(-1.3, 1.3, 3)), tuple(rng.uniform(-1.3, 1.3, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1.3, 1.3, 3)), tuple(rng.uniform(-1.3, 1.3, 3)))
             a = wigner_kl(1, 1, pt, params)
-            b = wigner_kl_closed(1, 1, pt.r2, pt.q2, pt.rq, params)
+            b = wigner_kl_closed(1, 1, pt.r2, pt.p2, pt.rp, params)
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_w10_literal_spot_value(self, params):
         # a = b = 1, c = 0: W_10 / W_00 = 1 - 4/3 - 4/3 + 2/3 - 4/3 + 2/3 = -5/3
-        pt = PhasePoint3D((1.0, 0, 0), (0, 1.0, 0))
+        pt = PhasePoint((1.0, 0, 0), (0, 1.0, 0))
         expected = -5 / 3 * math.exp(-2.0) / math.pi**3
         assert wigner_kl(1, 0, pt, params) == pytest.approx(expected, rel=1e-12)
 
@@ -203,9 +217,9 @@ class TestClosedForms:
     def test_factorized_vs_closed_everywhere(self, params, rng):
         for k, l in CLOSED_FORM_STATES:
             for _ in range(8):
-                pt = PhasePoint3D(tuple(rng.uniform(-1.4, 1.4, 3)), tuple(rng.uniform(-1.4, 1.4, 3)))
+                pt = PhasePoint(tuple(rng.uniform(-1.4, 1.4, 3)), tuple(rng.uniform(-1.4, 1.4, 3)))
                 a = wigner_kl(k, l, pt, params)
-                b = wigner_kl_closed(k, l, pt.r2, pt.q2, pt.rq, params)
+                b = wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_factorized_vs_closed_generic_units(self, rng):
@@ -213,9 +227,9 @@ class TestClosedForms:
         p = OscParams(nu=1.4, delta=0.3, hbar=0.8)
         for k, l in CLOSED_FORM_STATES:
             for _ in range(4):
-                pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+                pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
                 a = wigner_kl(k, l, pt, p)
-                b = wigner_kl_closed(k, l, pt.r2, pt.q2, pt.rq, p)
+                b = wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, p)
                 assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -255,8 +269,8 @@ class TestSymmetries:
                 rv = rng.uniform(-1, 1, 3)
                 qv = rng.uniform(-1, 1, 3)
                 rot = random_rotation(rng)
-                a = wigner_kl(k, l, PhasePoint3D(tuple(rv), tuple(qv)), params)
-                b = wigner_kl(k, l, PhasePoint3D(tuple(rot @ rv), tuple(rot @ qv)), params)
+                a = wigner_kl(k, l, PhasePoint(tuple(rv), tuple(qv)), params)
+                b = wigner_kl(k, l, PhasePoint(tuple(rot @ rv), tuple(rot @ qv)), params)
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_position_momentum_mirror(self, rng):
@@ -265,15 +279,15 @@ class TestSymmetries:
             for _ in range(5):
                 rv = rng.uniform(-1, 1, 3)
                 qv = rng.uniform(-1, 1, 3)
-                a = wigner_kl(k, l, PhasePoint3D(tuple(rv), tuple(qv)), p)
-                b = wigner_kl(k, l, PhasePoint3D(tuple(qv), tuple(rv)), p)
+                a = wigner_kl(k, l, PhasePoint(tuple(rv), tuple(qv)), p)
+                b = wigner_kl(k, l, PhasePoint(tuple(qv), tuple(rv)), p)
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_multiplet_trace_identity(self, params, rng):
         from oscoal.coalescence import shell_states
 
         for N in (1, 2, 3):
-            pt = PhasePoint3D(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+            pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             direct = sum(
                 wigner_klm(Ame(k, l, m), pt, params).real
                 for k, l in shell_states(N)
@@ -309,7 +323,7 @@ class TestDerivation:
             scale = p.hbar * p.nu**2
             for r_img, q_img in ((rv, qv), (rot @ rv, rot @ qv), (refl @ rv, refl @ qv),
                                  (qv / scale, rv * scale)):
-                got = wigner_kl(k, l, PhasePoint3D(tuple(r_img), tuple(q_img)), p)
+                got = wigner_kl(k, l, PhasePoint(tuple(r_img), tuple(q_img)), p)
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_husimi_input_matches_factorized_kernel(self, rng):
@@ -400,7 +414,7 @@ class TestExportGrid:
                            np.array([0.5]), params)
         for i in (0, 2, 4):
             for j in (1, 3):
-                pt = PhasePoint3D.from_invariants(grid.r_axis[i], grid.q_axis[j], 0.5)
+                pt = PhasePoint.from_invariants(grid.r_axis[i], grid.q_axis[j], 0.5)
                 ref = wigner_kl(0, 4, pt, params)
                 assert grid.values[i, j, 0] == pytest.approx(ref, abs=1e-12)
 
