@@ -89,6 +89,13 @@ def _resolve_params(args):
     return OscParams.from_zeta(nu, 1.0, hbar)
 
 
+def _reject_zeta_and_delta(args, what):
+    """Refuse --zeta and --delta where the result is W_kl, which depends only on nu and hbar."""
+    if args.zeta is not None or args.delta is not None:
+        raise _UsageError(f"{what} writes W_kl, which depends only on nu and hbar; "
+                          "it reads no --zeta or --delta")
+
+
 def parse_grid_spec(spec, radial_names=("r", "q")):
     """Parse 'r:min:max:n,q:min:max:n,theta:v1,v2,...' into axes.
 
@@ -208,7 +215,8 @@ def cmd_wigner(args):
         raise _UsageError(f"--k and --l must be nonnegative, got {args.k} and {args.l}")
     if 2 * args.k + args.l > MAX_SHELL:
         raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
-    params = _resolve_params(args)
+    params = _resolve_params(args)  # first, so that a bad value is named as such
+    _reject_zeta_and_delta(args, "wigner")
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "q"))
     _check_rows(len(axes["r"]) * len(axes["q"]) * len(thetas), "wigner")
     grid = export_grid(args.k, args.l, axes["r"], axes["q"], thetas, params)
@@ -258,7 +266,6 @@ def cmd_prob(args):
     v, t = v_and_t(rel_r, rel_p, params)
     probs = p_kl_batch(levels, rel_r, rel_p, params)
     n = len(rel_r)
-    k_col, l_col = np.repeat(np.array(levels), n, axis=0).T
     prob = np.concatenate([probs[lv] for lv in levels])
     if args.verify:
         from .coalescence import p_kl_oracle
@@ -270,8 +277,7 @@ def cmd_prob(args):
         if md > 1e-7:
             print(f"verification failed: oracle dev {md:.3e}", file=sys.stderr)
             return EXIT_INVARIANT
-    points = [np.tile(c, len(levels)) for c in (*grid, v, t)]
-    write_prob_table([k_col, l_col, *points, prob], params, args.out)
+    write_prob_table(levels, np.column_stack([*grid, v, t]), prob, params, args.out)
     return EXIT_OK
 
 
@@ -343,7 +349,7 @@ def _figure2(outdir, params, resolution):
                       "axes": {"r": [fmt17(v) for v in r_axis],
                                "p": [fmt17(v) for v in p_axis]},
                       "contour_0p2": [[fmt17(x), fmt17(y)] for x, y in contour]}
-            write_table(path, header, ("r", "p", "P"), [R.ravel(), P.ravel(), vals.ravel()])
+            write_table(path, header, ("r", "p", "P"), (r_axis, p_axis), [vals.ravel()])
             paths.append(path)
     return paths
 
@@ -358,7 +364,7 @@ def _figure3(outdir, params, resolution):
     rel_r, rel_p = canonical_points(np.full(resolution, r0), np.full(resolution, p0), thetas)
     v, t = v_and_t(rel_r, rel_p, params)
     probs = p_kl_batch([(0, 3), (1, 1)], rel_r, rel_p, params)
-    write_table(path, header, ("theta", "v", "t", "P03", "P11"),
+    write_table(path, header, ("theta", "v", "t", "P03", "P11"), (),
                 [thetas, v, t, probs[(0, 3)], probs[(1, 1)]])
     return [path]
 
@@ -368,6 +374,8 @@ def cmd_figures(args):
         raise _UsageError(f"--resolution must be at least 2, got {args.resolution}")
     if args.id == 2 and (args.zeta is not None or args.delta is not None):
         raise _UsageError("figures 2 scans zeta = 0.25, 1, 4 itself; it reads no --zeta or --delta")
+    if args.id == 1:
+        _reject_zeta_and_delta(args, "figures 1")
     resolution = args.resolution or (400 if args.id != 3 else 181)
     rows = {1: resolution**2 * len(DEFAULT_THETAS), 2: resolution**2, 3: resolution}[args.id]
     _check_rows(rows, f"figures {args.id}")

@@ -10,6 +10,11 @@ spectrum uses the centroid total momentum P_i = p1 + p2, either sharply
 
 Input format: CSV with header ``species,rx,ry,rz,px,py,pz[,weight]`` in the
 natural units declared alongside (nu, delta, hbar); see `load_particles`.
+The loader converts the file in blocks of `_BLOCK` lines.  A block of plain
+rows is split on commas; from the first block with a quote, a CR, a NUL or
+a row that fails a check, `csv.reader` reads the rest, so quoted fields, CR
+line ends and blank rows keep the csv module's meaning and errors name the
+same line as when the whole file goes through `csv`.
 
 The pair loop enumerates the full cross product while it fits the budget and
 falls back to uniform random pair sampling beyond that; fixed seeds give
@@ -20,6 +25,7 @@ fixed by the statistical weights (pi+ : rho+ = 1 : 3) hold exactly.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -175,20 +181,67 @@ def load_particles(source):
 
 _HEADER = ["species", "rx", "ry", "rz", "px", "py", "pz"]
 
+# Lines converted at a time: bounds the text held in memory.
+_BLOCK = 65536
+
 
 def _parse_particles(fh):
-    reader = csv.reader(fh)
-    header = [h.strip() for h in next(reader, _HEADER)]
+    header = [h.strip() for h in next(csv.reader(fh), _HEADER)]
     if header[:7] != _HEADER or len(header) > 8 or (len(header) == 8 and header[7] != "weight"):
         raise ValueError(
             f"unexpected header {header}; expected species,rx,ry,rz,px,py,pz[,weight]"
         )
     width = len(header)
-    rows = list(reader)
-    table = _columns([row for row in rows if "".join(row).strip()], width)
-    if table is None:
-        raise _first_error(rows, width)
-    return table
+    parts = []
+    lineno = 2
+    while lines := list(itertools.islice(fh, _BLOCK)):
+        table = _split_block(lines, width)
+        if table is None:
+            parts += _csv_blocks(itertools.chain(lines, fh), width, lineno)
+            break
+        parts.append(table)
+        lineno += len(lines)
+    if not parts:
+        parts.append(_table([], np.empty((0, width - 1)), width))
+    return ParticleTable(*(np.concatenate([getattr(t, f) for t in parts])
+                           for f in ("species", "r", "p", "weight")))
+
+
+def _split_block(lines, width):
+    """The table of a block of plain lines, or None unless every line is a good row.
+
+    Quoting, CR line ends and NUL are left to `csv`, as are blank and
+    malformed rows: those fail one of the checks.
+    """
+    text = ",".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    cells = text.split(",")
+    # The count alone lets a long line balance short ones; with every line
+    # end also in a row's last field, no line is short or long.
+    if (len(cells) != len(lines) * width
+            or "".join(cells[width - 1 :: width]).count("\n") != text.count("\n")):
+        return None
+    tags = list(map(str.strip, cells[0::width]))
+    if not set(tags) <= set(KNOWN_SPECIES):
+        return None
+    del cells[0::width]
+    try:
+        nums = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    return _table(tags, nums.reshape(len(lines), width - 1), width)
+
+
+def _csv_blocks(lines, width, lineno):
+    """The tables of the `csv` rows of `lines`, block by block; row 1 is line `lineno`."""
+    reader = csv.reader(lines)
+    while rows := list(itertools.islice(reader, _BLOCK)):
+        table = _columns([row for row in rows if "".join(row).strip()], width)
+        if table is None:
+            raise _first_error(rows, width, lineno)
+        yield table
+        lineno += len(rows)
 
 
 def _columns(rows, width):
@@ -202,16 +255,23 @@ def _columns(rows, width):
         nums = np.array([f for row in rows for f in row[1:]], dtype=float)
     except ValueError:
         return None
-    nums = nums.reshape(len(rows), width - 1)
-    weight = nums[:, 6] if width == 8 else np.ones(len(rows))
+    return _table(tags, nums.reshape(len(rows), width - 1), width)
+
+
+def _table(tags, nums, width):
+    """The table of known `tags` and their (rows, width - 1) numbers, or None if a check fails."""
+    weight = nums[:, 6] if width == 8 else np.ones(len(nums))
     if not np.isfinite(nums).all() or np.any(weight < 0):
         return None
     return ParticleTable(np.array(tags, dtype=str), nums[:, 0:3], nums[:, 3:6], weight)
 
 
-def _first_error(rows, width):
-    """The ValueError, naming its line, of the first row that fails a check."""
-    for lineno, row in enumerate(rows, start=2):
+def _first_error(rows, width, start):
+    """The ValueError, naming its line, of the first row that fails a check.
+
+    Row 1 of `rows` is line `start` of the file.
+    """
+    for lineno, row in enumerate(rows, start=start):
         if not "".join(row).strip():
             continue
         if len(row) != width:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -116,7 +117,7 @@ class TestCoeffCommand:
 class TestTableFormat:
     def test_readers_reject_wrong_columns(self, tmp_path):
         path = tmp_path / "t.dat"
-        write_table(path, {"type": "x"}, ("a", "b"), [np.arange(3), np.linspace(0, 1, 3)])
+        write_table(path, {"type": "x"}, ("a", "b"), [np.arange(3)], [np.linspace(0, 1, 3)])
         assert path.read_text() == '{"type":"x"}\na,b\n0,0\n1,0.5\n2,1\n'
         for reader, cols in ((read_prob_table, "k,l,r,p,theta,v,t,P"),
                              (read_wigner_grid, "r,q,theta,W")):
@@ -124,34 +125,54 @@ class TestTableFormat:
                 reader(path)
             assert str(path) in str(exc.value)
 
-    def test_bytes_match_per_value_formatting(self, tmp_path, rng):
-        from oscoal.gridio import _CHUNK
-
-        n = _CHUNK + 300
+    def test_bytes_match_per_value_formatting(self, tmp_path, rng, monkeypatch):
+        # At most 7 rows per block, so the first three tables take several
+        # blocks.  The leading axes (those not spelled out in a block's
+        # template) are none, (r, q), (levels, r) and, in the last, none.
+        monkeypatch.setattr("oscoal.gridio._CHUNK", 7)
+        n = 7 * 40 + 3
         special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, math.inf, -math.nan, 0.1, 1.0]
         columns = [
             np.tile(special, n // len(special) + 1)[:n],
             np.arange(n) % 7 - 3,
             rng.normal(size=n),
             np.repeat(rng.normal(size=3), [n - 200, 150, 50]),
-            (np.arange(n, dtype=np.int32) // 5000) * -1,
+            (np.arange(n, dtype=np.int32) // 50) * -1,
             rng.normal(size=n).astype(np.float32),
         ]
-        names = ("a", "b", "c", "d", "e", "f")
-        path = tmp_path / "t.dat"
-        write_table(path, {"type": "x", "n": n}, names, columns)
-        lines = ['{"n":%d,"type":"x"}' % n, ",".join(names)]
-        for row in zip(*(c.tolist() for c in columns)):
-            lines.append(",".join(format(v, "d" if isinstance(v, int) else ".17g") for v in row))
-        written = path.read_text().split("\n")
-        assert written[-1] == "" and len(written) == len(lines) + 1
-        # the first differing line, not a diff of two 5 MB strings
-        assert next((i for i, line in enumerate(lines) if written[i] != line), None) is None
-        assert lines[2].startswith("-0,") and lines[3].startswith("0,")
+        grid = [np.array([-0.0, 0.0, 0.25]), np.array([1e-320, 0.5, -math.inf, 3.0]),
+                np.array([0.0, math.pi / 6, math.pi / 2])]
+        levels = np.array([(0, 0), (1, 3), (0, 12)])
+        prob = [levels, np.array([0.0, 1.5]), np.array([-0.0, 1 / 3, 2.0]), np.array([0.0, 1.0])]
+        cases = [
+            ((), columns, "abcdef"),
+            (grid, [np.resize(special, 36)], "rqtW"),
+            (prob, [rng.normal(size=36), np.resize(special[::-1], 36), np.resize(special, 36)],
+             "klrptvTP"),
+            # the layout of `write_prob_table`: levels, then points (r, p, theta, v, t)
+            ([levels[1:2], np.resize(special, (6, 5))], [rng.normal(size=6)], "klrptvTP"),
+        ]
+        for axes, columns, names in cases:
+            path = tmp_path / "t.dat"
+            write_table(path, {"type": "x", "n": n}, tuple(names), axes, columns)
+            lines = ['{"n":%d,"type":"x"}' % n, ",".join(names)]
+            points = [[np.atleast_1d(v).tolist() for v in a] for a in axes]
+            prefixes = list(itertools.product(*points)) if axes else [()] * n
+            for prefix, row in zip(prefixes, zip(*(c.tolist() for c in columns)), strict=True):
+                values = [*itertools.chain.from_iterable(prefix), *row]
+                lines.append(",".join(format(v, "d" if isinstance(v, int) else ".17g")
+                                      for v in values))
+            written = path.read_text().split("\n")
+            assert written[-1] == "" and len(written) == len(lines) + 1
+            # the first differing line, not a diff of two long strings
+            assert next((i for i, line in enumerate(lines) if written[i] != line), None) is None
+            assert "-0," in "".join(written[2:])  # a signed zero in a column or an axis
 
     def test_unequal_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_table(tmp_path / "t.dat", {}, ("a", "b"), [[1.0, 2.0], [1.0]])
+        for axes, columns in (((), [[1.0, 2.0], [1.0]]), ([[1.0, 2.0]], [[1.0]]),
+                              ([[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]])):
+            with pytest.raises(ValueError):
+                write_table(tmp_path / "t.dat", {}, ("a", "b"), axes, columns)
 
 
 class TestWignerCommand:
@@ -511,6 +532,22 @@ class TestParamHandling:
             monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
         monkeypatch.setattr("oscoal.selftest.run_selftest", _must_not_compute)
         assert run(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "extra", [["--zeta", "3"], ["--delta", "0.5"], ["--delta", "0.5", "--zeta", "1"]],
+        ids=["zeta", "delta", "both"],
+    )
+    @pytest.mark.parametrize("command", [["wigner", "--k", "0", "--l", "1", "--out"],
+                                         ["figures", "1", "--outdir"]], ids=["wigner", "figures-1"])
+    def test_w_kl_commands_reject_zeta_and_delta(self, command, extra, tmp_path, monkeypatch,
+                                                 capsys):
+        # W_kl depends on nu and hbar only: the flags would change nothing but the header
+        for name in ("export_grid", "_figure1"):
+            monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
+        out = tmp_path / "out"
+        assert run([*command, str(out), *extra]) == EXIT_USAGE
+        assert "it reads no --zeta or --delta" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bad",

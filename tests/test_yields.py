@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from oscoal import yields
 from oscoal.coalescence import PhasePoint, p_kl_batch, p_kl_closed, v_and_t
 from oscoal.yields import (
     Channel,
@@ -137,6 +138,112 @@ class TestLoadParticles:
         assert len(dbar) == 2 and dbar.r[:, 0].tolist() == [1.0, 3.0]
         assert recs[1] == recs.select("u")[0] == ParticleRecord("u", (2, 0, 0), (0, 0, 0))
         assert recs[-2] == dbar[1]
+
+
+_H7 = "species,rx,ry,rz,px,py,pz\n"
+_H8 = "species,rx,ry,rz,px,py,pz,weight\n"
+
+
+def _plain_rows(n, weight=False):
+    """`n` well-formed rows with distinct values and both species."""
+    return "".join(f"{('u', ' dbar')[i % 2]},{i}.5,-{i},1e-{300 + i},{i / 3!r},0,-0.0"
+                   + ",2" * weight + "\n" for i in range(n))
+
+
+def _load_particles_inputs():
+    """The inputs of `TestLoadParticles`."""
+    good = [" 2 ", "1_0", "-0", "+.5", "1e-320", "4.9e-324", "1E-400", "１２", "\t3.25",
+            "0.1", "1e308", "-1.7976931348623157e308", "123456789.123456789"]
+    bad = ("1__0", "_1", "0x10", "", "1,5", "nan(1)", "1 0", "e5")
+    first_error_rows = ("u,0,0,0", "s,0,0,0,0,0,0,1", "u,0,0,x,0,0,0,1", "u,0,0,0,0,inf,0,1",
+                        "u,0,0,0,0,0,0,nan", "u,0,0,0,0,0,0,-0.5")
+    return [
+        "", _H7,
+        _H7 + "u,0,0,0,0,0,0\ndbar,1,2,3,0.1,0.2,0.3\n",
+        _H8 + "u,0,0,0,0,0,0,2.5\n",
+        _H7 + "u,0,0,0,0,0,0\nu,0,nan,0,0,0,0\n",
+        _H7 + "xq,0,0,0,0,0,0\n",
+        _H7 + "u,0,0\n",
+        "a,b,c\n",
+        _H7 + "u,0,0,0,0,0,0\nu,0,0,0,0,0,0,7\n",
+        _H8 + "u,0,0,0,0,0,0,1\nu,0,0,0,0,0,0\n",
+        _H7 + "".join(f"u,{tok},0,0,0,0,{tok}\n" for tok in good),
+        *(_H7 + f'u,0,0,0,0,0,0\nu,0,0,"{tok}",0,0,0\n' for tok in bad),
+        *(_H8 + "u,0,0,0,0,0,0,1\n\n , ,\ndbar,1,1,1,1,1,1,1\n,,,,,,,\n" + row + "\n" + later
+          for row in first_error_rows for later in ("", "u,0,0,x\n")),
+        _H8 + '\n"u","1.5",0,0,0,0," 2 ",3\n  ,  \n" dbar",0,0,0,0,0,0,"0"\n',
+        _H7 + "dbar,1,0,0,0,0,0\nu,2,0,0,0,0,0\ndbar,3,0,0,0,0,0\nu,4,0,0,0,0,0\n",
+    ]
+
+
+def _block_inputs(block):
+    """Named inputs whose quoting, blank rows, bad rows or line ends fall in chosen blocks."""
+    b = block
+    return {
+        "plain": _H7 + _plain_rows(5 * b),
+        "quote-opens-block-3": _H7 + _plain_rows(2 * b) + '"u",1,2,3,4,5,6\n' + _plain_rows(3),
+        # csv numbers rows, not lines: the bad row, on line 4 + 3b, is row 3 + 3b
+        "quoted-line-end": (_H7 + _plain_rows(2 * b) + '"dbar\n",1,2,3,4,5,6\n' + _plain_rows(b)
+                            + "u,0,0,x,0,0,0\n"),
+        "bad-row-in-block-2": _H7 + _plain_rows(b + 1) + "u,0,0,x,0,0,0\n" + _plain_rows(2),
+        "bad-weight-late": _H8 + _plain_rows(3 * b, weight=True) + "u,0,0,0,0,0,0,-1\n",
+        "blank-rows": _H7 + _plain_rows(b) + "u,1,2,3,4,5,6\n\n , ,\n,,,,,,\n" + _plain_rows(b),
+        "no-final-newline": _H7 + _plain_rows(2 * b + 1).rstrip("\n"),
+        "no-final-newline-weight": _H8 + _plain_rows(b + 1, weight=True).rstrip("\n"),
+        # rows of the wrong lengths whose cells add up to whole rows
+        "long-then-short": _H7 + "u,1,2,3,4,5,6,dbar,1,2\n3,4,5,6\n" + _plain_rows(b),
+        "double-then-split": _H7 + "u,1,2,3,4,5,6,dbar,1,2,3,4,5,6\nu,1,2,3\n4,5,6\n",
+        "one-crlf-row": _H7 + _plain_rows(b) + "u,1,2,3,4,5,6\r\n" + _plain_rows(b),
+    }
+
+
+def _outcome(source):
+    """The loaded table, floats by bit pattern, or the error message."""
+    try:
+        table = load_particles(source)
+    except ValueError as exc:
+        return str(exc)
+    return (table.species.dtype, table.species.tolist(),
+            *(getattr(table, f).view(np.int64).tolist() for f in ("r", "p", "weight")))
+
+
+class TestLoaderBlocks:
+    """Blocks of plain lines are split directly; `csv` takes over from the first other block."""
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_blocks_match_csv_only(self, block, tmp_path, monkeypatch):
+        crlf = tmp_path / "crlf.csv"
+        crlf_bad = tmp_path / "crlf_bad.csv"
+        crlf.write_bytes((_H7 + _plain_rows(3 * block) + "\n").replace("\n", "\r\n").encode())
+        crlf_bad.write_bytes((_H7 + _plain_rows(2 * block) + "xq,0,0,0,0,0,0\n")
+                             .replace("\n", "\r\n").encode())
+        sources = {text: lambda t=text: io.StringIO(t) for text in _load_particles_inputs()}
+        sources.update({name: lambda t=text: io.StringIO(t)
+                        for name, text in _block_inputs(block).items()})
+        sources.update({"crlf": lambda: crlf, "crlf-bad": lambda: crlf_bad})
+        starts = []
+        csv_blocks = yields._csv_blocks
+        monkeypatch.setattr(yields, "_csv_blocks",
+                            lambda *args: starts.append(args[-1]) or csv_blocks(*args))
+        outcome, csv_start = {}, {}
+        for name, source in sources.items():
+            with monkeypatch.context() as csv_only:
+                csv_only.setattr(yields, "_split_block", lambda lines, width: None)
+                outcome[name] = _outcome(source())
+            starts.clear()
+            with monkeypatch.context() as blocked:
+                blocked.setattr(yields, "_BLOCK", block)
+                assert _outcome(source()) == outcome[name], name
+            csv_start[name] = starts[:1]
+        assert csv_start["plain"] == [] and len(outcome["plain"][1]) == 5 * block
+        assert csv_start["quote-opens-block-3"] == [2 + 2 * block]
+        assert len(outcome["quote-opens-block-3"][1]) == 2 * block + 4
+        bad_float = "could not convert string to float: 'x'"
+        assert outcome["quoted-line-end"] == f"line {3 + 3 * block}: {bad_float}"
+        assert outcome["bad-row-in-block-2"] == f"line {3 + block}: {bad_float}"
+        assert outcome["crlf-bad"].startswith(f"line {2 + 2 * block}: unknown species 'xq'")
+        assert outcome["long-then-short"] == "line 2: expected 7 fields, got 10"
+        assert outcome["double-then-split"] == "line 2: expected 7 fields, got 14"
 
 
 class TestChannelTable:
