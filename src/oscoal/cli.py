@@ -290,6 +290,10 @@ def _pf_edges(spec):
         raise _UsageError(f"--pf-bins expects lo:hi:nbins, got {spec!r}") from None
 
 
+# The keys a `yields --params` sidecar may hold.
+_SIDECAR_KEYS = ("nu", "delta", "hbar", "zeta_override")
+
+
 def cmd_yields(args):
     if args.pf_bins is None and (args.smear or args.pf_axis is not None):
         raise _UsageError("--smear and --pf-axis shape the spectrum; they need --pf-bins")
@@ -299,11 +303,15 @@ def cmd_yields(args):
     params_file = json.loads(Path(args.params).read_text(), parse_int=float)
     if not isinstance(params_file, dict):
         raise _UsageError(f"params file {args.params} must hold a JSON object")
+    unknown = [key for key in params_file if key not in _SIDECAR_KEYS]
+    if unknown:
+        raise _UsageError(f"params file {args.params} has unknown key "
+                          f"{', '.join(map(repr, unknown))}; known: {', '.join(_SIDECAR_KEYS)}")
     required = ("nu",) if "zeta_override" in params_file else ("nu", "delta")
     missing = [key for key in required if key not in params_file]
     if missing:
         raise _UsageError(f"params file {args.params} lacks {', '.join(map(repr, missing))}")
-    for key in ("nu", "delta", "hbar", "zeta_override"):
+    for key in _SIDECAR_KEYS:
         if not isinstance(params_file.get(key, 1.0), float):  # JSON integers parse as floats
             raise _UsageError(f"params file {args.params}: {key!r} must be a JSON number")
     nu, hbar = params_file["nu"], params_file.get("hbar", 1.0)

@@ -15,19 +15,22 @@ nu r <-> q/(hbar nu); it depends on the point only through the invariants
 A point (r, q) is a `coalescence.PhasePoint` (alias `PhasePoint3D`), with q
 held in its `p_vec`.
 
-For each (k, l) the ratio W_kl / W_00 is a polynomial in (a, b, c) with
-rational coefficients.  `derive_invariant_poly` computes it exactly from the
+W_kl is also invariant under the harmonic flow, and both it and rotations
+act on x = (xi, eta), xi = nu r, eta = q/(hbar nu), as orthogonal maps, so
+W_kl / W_00 is a polynomial in E = a + b = |x|^2 and T = ab - c = |xi x eta|^2
+with rational coefficients.  `_derive_et` computes it exactly from the
 zeta = 1 coalescence probability, whose exact terms `coalescence._husimi_terms`
-holds: in the reduced variables x = (xi, eta),
-P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
-e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, and the
-inverse heat flow P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite
-series on polynomials.  Every W_kl here, `wigner_kl_closed` and `export_grid`
-included, evaluates that derivation; no coefficient table is stored.  The
-phase-space integral of each derived polynomial is 1 exactly, by a moment
-identity (`_normalization_exact`).  Two terms of the commonly tabulated
-printed forms for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu)
-mirror symmetry; the derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
+holds: P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
+e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, which
+maps polynomials in (E, T) to polynomials in (E, T), and the inverse heat flow
+P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite series.  On a 2-vCPU
+VM all 49 levels with N <= 12 derive in about 0.04 s, and in about 0.15 s
+with `derive_invariant_poly`'s expansion into (a, b, c).  Every W_kl here, `wigner_kl_closed` and
+`export_grid` included, evaluates that expansion; no coefficient table is
+stored.  The phase-space integral of each derived polynomial is 1 exactly
+(`_normalization_exact`).  Two terms of the commonly tabulated printed forms
+for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu) mirror symmetry;
+the derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
 """
 
 import math
@@ -108,49 +111,63 @@ def _invariant_basis(N):
             for j in range(N - 2 * h - i + 1)]
 
 
-def _mul(p, q):
-    """Product of two polynomials {(i, j, h): Fraction} in (a, b, c)."""
-    out = {}
-    for (i1, j1, h1), c1 in p.items():
-        for (i2, j2, h2), c2 in q.items():
-            key = (i1 + i2, j1 + j2, h1 + h2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+def _husimi_input(k, l):
+    """p = e^v P_kl at zeta = 1, exactly, as {(i, j): Fraction} for E^i T^j.
 
-
-def _husimi_poly(k, l):
-    """p = e^v P_kl at zeta = 1, exactly, as a polynomial in (a, b, c).
-
-    Substitutes v = (a+b)/2 and s = v^2 - t = (a-b)^2/4 + c into the terms
-    c v^i s^j of `coalescence._husimi_terms`.
+    The binomial expansion of the terms c v^i s^j of `coalescence._husimi_terms`
+    at v = E/2 and s = v^2 - t = E^2/4 - T.
     """
-    v = {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 2)}
-    s = {(2, 0, 0): Fraction(1, 4), (1, 1, 0): Fraction(-1, 2), (0, 2, 0): Fraction(1, 4),
-         (0, 0, 1): Fraction(1)}
     out = {}
     for i, j, cf in _husimi_terms(k, l):
-        term = {(0, 0, 0): cf}
-        for factor in [v] * i + [s] * j:
-            term = _mul(term, factor)
-        for key, c in term.items():
-            out[key] = out.get(key, 0) + c
+        for m in range(j + 1):
+            key = (i + 2 * (j - m), m)
+            out[key] = out.get(key, 0) + cf * (-1) ** m * math.comb(j, m) / (2**i * 4 ** (j - m))
     return out
 
 
-def _laplacian(poly):
-    """The 6-D Laplacian in (xi, eta) of a polynomial in (a, b, c).
+def _laplacian_et(poly):
+    """The 6-D Laplacian in (xi, eta) of a polynomial {(i, j): c} in (E, T).
 
-    On a^i b^j c^h it is i(4i+2+8h) a^{i-1} b^j c^h + j(4j+2+8h) a^i b^{j-1} c^h
-    + h(4h-2) (a^{i+1} b^j + a^i b^{j+1}) c^{h-1}.
+    On E^i T^j it is 4i(i + 2 + 4j) E^{i-1} T^j + 4j^2 E^{i+1} T^{j-1}.
     """
     out = {}
-    for (i, j, h), c in poly.items():
-        for key, f in (((i - 1, j, h), i * (4 * i + 2 + 8 * h)),
-                       ((i, j - 1, h), j * (4 * j + 2 + 8 * h)),
-                       ((i + 1, j, h - 1), h * (4 * h - 2)),
-                       ((i, j + 1, h - 1), h * (4 * h - 2))):
+    for (i, j), c in poly.items():
+        for key, f in (((i - 1, j), 4 * i * (i + 2 + 4 * j)), ((i + 1, j - 1), 4 * j * j)):
             if f:
                 out[key] = out.get(key, 0) + f * c
+    return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _derive_et(k, l):
+    """W_kl / W_00 exactly, as {(i, j): Fraction} for E^i T^j.
+
+    The inverse heat flow P(x) = (e^{-Delta/2} p)(2x) / (2l+1) of the Husimi
+    input p = e^v P_kl (`_husimi_input`).  The series stops because Delta
+    lowers the degree, and x -> 2x scales E^i T^j by 4^(i + 2j).
+    """
+    if k < 0 or l < 0:
+        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
+    term, total, n = _husimi_input(k, l), {}, 0
+    while term:
+        for (i, j), c in term.items():
+            total[(i, j)] = total.get((i, j), 0) + c * 4 ** (i + 2 * j)
+        n += 1
+        term = {key: -c / (2 * n) for key, c in _laplacian_et(term).items()}
+    return {key: c / (2 * l + 1) for key, c in total.items() if c}
+
+
+def _to_abc(poly):
+    """A polynomial {(i, j): c} in (E, T) as {(i, j, h): c} in (a, b, c), zeros dropped.
+
+    Expands (a + b)^i (ab - c)^j.
+    """
+    out = {}
+    for (i, j), cf in poly.items():
+        for p in range(i + 1):
+            for h in range(j + 1):
+                key = (p + j - h, i - p + j - h, h)
+                out[key] = out.get(key, 0) + cf * (-1) ** h * math.comb(i, p) * math.comb(j, h)
     return {key: c for key, c in out.items() if c}
 
 
@@ -158,50 +175,34 @@ def _laplacian(poly):
 def derive_invariant_poly(k, l):
     """Exact polynomial P with W_kl = W_00 * P(a, b, c).
 
-    In the reduced variables x = (xi, eta) the zeta = 1 coalescence
-    probability is the overlap of the multiplet with a wave packet,
-    P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
-    e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta.
-    Inverting that Gaussian convolution,
-
-        P(x) = (e^{-Delta/2} p)(2x) / (2l+1),   p = e^v P_kl  (`_husimi_poly`),
-
-    where the series stops because Delta lowers the degree.  Returns
-    {(i, j, h): Fraction} for a^i b^j c^h, in `_invariant_basis` order.
+    Derived in the invariants E = a + b and T = ab - c by the inverse heat
+    flow of the zeta = 1 coalescence probability (`_derive_et`), then
+    expanded.  Returns {(i, j, h): Fraction} for a^i b^j c^h, in
+    `_invariant_basis` order.
     """
-    if k < 0 or l < 0:
-        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
-    term, total, n = _husimi_poly(k, l), {}, 0
-    while term:
-        for (i, j, h), c in term.items():
-            total[(i, j, h)] = total.get((i, j, h), 0) + c * 4 ** (i + j + 2 * h)
-        n += 1
-        term = {key: -c / (2 * n) for key, c in _laplacian(term).items()}
-    return {key: total[key] / (2 * l + 1) for key in _invariant_basis(2 * k + l) if total.get(key)}
+    poly = _to_abc(_derive_et(k, l))
+    return {key: poly[key] for key in _invariant_basis(2 * k + l) if key in poly}
 
 
 def _shell_trace_residue(N):
-    """sum_{2k+l=N} (2l+1) W_kl/W_00 - (-1)^N L_N^(2)(2(a+b)), exactly, zeros dropped.
+    """sum_{2k+l=N} (2l+1) W_kl/W_00 - (-1)^N L_N^(2)(2E) in (E, T), exactly, zeros dropped.
 
     The Laguerre term is the Wigner function of the projector onto shell N
-    over W_00, so the residue of the derived polynomials must be {}.
+    over W_00, so the residue of the derived polynomials must be {}: the T
+    terms cancel within the shell.
     """
     out = {}
     for k in range(N // 2 + 1):
-        for key, cf in derive_invariant_poly(k, N - 2 * k).items():
+        for key, cf in _derive_et(k, N - 2 * k).items():
             out[key] = out.get(key, 0) + (2 * N - 4 * k + 1) * cf
     for m in range(N + 1):
         cf = Fraction((-1) ** (N + m) * math.comb(N + 2, N - m) * 2**m, math.factorial(m))
-        for i in range(m + 1):
-            out[(i, m - i, 0)] = out.get((i, m - i, 0), 0) - cf * math.comb(m, i)
+        out[(m, 0)] = out.get((m, 0), 0) - cf
     return {key: c for key, c in out.items() if c}
 
 
-# The six levels with N <= 3, the range of the printed tabulation.
-CLOSED_FORM_STATES = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
-
-# Commonly tabulated printed forms of W_kl / W_00 for those levels, kept for
-# the audit in the selftest.  Two entries are known to be wrong there: the
+# Commonly tabulated printed forms of W_kl / W_00 for the six levels with
+# N <= 3, kept for the audit in the selftest.  Two entries are known to be wrong there: the
 # (0,3) q-quartic term is printed with a dimensionally inconsistent q^2
 # exponent (coefficient agrees once read as q^4, which is how it is encoded
 # here), and the (1,1) q^4/q^6 coefficients are swapped relative to the
@@ -271,6 +272,9 @@ REFERENCE_TABULATION_NOTES = (
     "nu r <-> q/(hbar nu) mirror; re-derived values are (-22/15, +4/15)",
 )
 
+# The levels of the printed tabulation, in its order.
+CLOSED_FORM_STATES = tuple(REFERENCE_TABULATION)
+
 
 def _eval_invariant_poly(poly, a, b, c):
     out = 0.0
@@ -286,15 +290,10 @@ def _w00_times_poly(poly, a, b, c, hbar):
 
 
 def wigner_kl_closed(k, l, r2, q2, rq, params):
-    """Closed-form W_kl of the derived polynomial, states with 2k + l <= 3.
+    """Closed-form W_kl of the derived polynomial, any level.
 
     Takes the scalar invariants r^2, q^2 and r.q; accepts arrays.
     """
-    if (k, l) not in CLOSED_FORM_STATES:
-        raise ValueError(
-            f"no tabulated closed form for (k, l) = ({k}, {l}); "
-            f"available: {sorted(CLOSED_FORM_STATES)}"
-        )
     poly = derive_invariant_poly(k, l)
     nu, hbar = params.nu, params.hbar
     a = nu * nu * np.asarray(r2, dtype=float)

@@ -11,10 +11,11 @@ spectrum uses the centroid total momentum P_i = p1 + p2, either sharply
 Input format: CSV with header ``species,rx,ry,rz,px,py,pz[,weight]`` in the
 natural units declared alongside (nu, delta, hbar); see `load_particles`.
 The loader converts the file in blocks of `_BLOCK` lines.  A block of plain
-rows is split on commas; from the first block with a quote, a CR, a NUL or
-a row that fails a check, `csv.reader` reads the rest, so quoted fields, CR
-line ends and blank rows keep the csv module's meaning and errors name the
-same line as when the whole file goes through `csv`.
+rows is split on commas; from the first block with a quote, a CR, a NUL, a
+line longer than csv's field size limit or a row that fails a check,
+`csv.reader` reads the rest, so quoted fields, CR line ends and blank rows
+keep the csv module's meaning and errors name the same line as when the
+whole file goes through `csv`.
 
 The pair loop enumerates the full cross product while it fits the budget and
 falls back to uniform random pair sampling beyond that; fixed seeds give
@@ -186,7 +187,10 @@ _BLOCK = 65536
 
 
 def _parse_particles(fh):
-    header = [h.strip() for h in next(csv.reader(fh), _HEADER)]
+    try:
+        header = [h.strip() for h in next(csv.reader(fh), _HEADER)]
+    except csv.Error as exc:
+        raise ValueError(f"line 1: {exc}") from None
     if header[:7] != _HEADER or len(header) > 8 or (len(header) == 8 and header[7] != "weight"):
         raise ValueError(
             f"unexpected header {header}; expected species,rx,ry,rz,px,py,pz[,weight]"
@@ -210,11 +214,13 @@ def _parse_particles(fh):
 def _split_block(lines, width):
     """The table of a block of plain lines, or None unless every line is a good row.
 
-    Quoting, CR line ends and NUL are left to `csv`, as are blank and
-    malformed rows: those fail one of the checks.
+    Quoting, CR line ends, NUL and lines longer than csv's field size limit
+    are left to `csv`, as are blank and malformed rows: those fail one of the
+    checks.
     """
     text = ",".join(lines)
-    if '"' in text or "\r" in text or "\0" in text:
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
     cells = text.split(",")
     # The count alone lets a long line balance short ones; with every line
@@ -234,9 +240,22 @@ def _split_block(lines, width):
 
 
 def _csv_blocks(lines, width, lineno):
-    """The tables of the `csv` rows of `lines`, block by block; row 1 is line `lineno`."""
+    """The tables of the `csv` rows of `lines`, block by block; row 1 is line `lineno`.
+
+    A row that `csv` cannot read raises ValueError naming its line; a row
+    before it in the same block that fails a check is reported first.
+    """
     reader = csv.reader(lines)
-    while rows := list(itertools.islice(reader, _BLOCK)):
+    while True:
+        rows = []
+        try:
+            for row in itertools.islice(reader, _BLOCK):
+                rows.append(row)
+        except csv.Error as exc:
+            raise _first_error(rows, width, lineno) or ValueError(
+                f"line {lineno + len(rows)}: {exc}") from None
+        if not rows:
+            return
         table = _columns([row for row in rows if "".join(row).strip()], width)
         if table is None:
             raise _first_error(rows, width, lineno)

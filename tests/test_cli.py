@@ -370,6 +370,26 @@ class TestYieldsCommand:
         assert run(["yields", "--particles", "p.csv", "--params", str(path)]) == EXIT_USAGE
         assert "positive and finite" in capsys.readouterr().err
 
+    def test_sidecar_unknown_key(self, tmp_path, monkeypatch, capsys):
+        # a misspelt key must not leave the run at a default value
+        monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
+        path = tmp_path / "p.json"
+        path.write_text('{"nu": 1.0, "delta": 0.5, "hbarr": 0.9}')
+        assert run(["yields", "--particles", "p.csv", "--params", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and "unknown key 'hbarr'" in err
+
+    @pytest.mark.parametrize("field", ['"1' + "1" * 139_999 + '"', "0." + "0" * 139_997 + "1"],
+                             ids=["quoted", "unquoted"])
+    def test_field_above_csv_limit_is_line_error(self, field, tmp_path, capsys):
+        parts = tmp_path / "parts.csv"
+        parts.write_text(f"species,rx,ry,rz,px,py,pz\ndbar,{field},0,0,0,0,0\nu,0,0,0,0,0,0\n")
+        pjson = tmp_path / "params.json"
+        pjson.write_text('{"nu": 1.0, "delta": 0.5}')
+        assert run(["yields", "--particles", str(parts), "--params", str(pjson)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: field larger than field limit (131072)")
+
     def test_missing_file_is_io_error(self, tmp_path):
         pjson = tmp_path / "params.json"
         pjson.write_text('{"nu": 1.0, "delta": 0.5}')

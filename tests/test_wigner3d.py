@@ -14,11 +14,12 @@ from oscoal.wigner3d import (
     CLOSED_FORM_STATES,
     PhasePoint3D,
     REFERENCE_TABULATION,
-    _eval_invariant_poly,
-    _husimi_poly,
+    _husimi_input,
+    _laplacian_et,
     _normalization_exact,
     _normalization_quadrature,
     _shell_trace_residue,
+    _to_abc,
     derive_invariant_poly,
     export_grid,
     level_crossings,
@@ -210,9 +211,16 @@ class TestClosedForms:
             got = wigner_kl_closed(0, 0, r2, q2, 0.1, params)
             assert got == pytest.approx(math.exp(-r2 - q2) / math.pi**3, rel=1e-14)
 
-    def test_unsupported_state_rejected(self, params):
-        with pytest.raises(ValueError, match="no tabulated closed form"):
-            wigner_kl_closed(2, 0, 1.0, 1.0, 0.0, params)
+    def test_accepts_every_level(self, params, rng):
+        # levels outside the printed tabulation evaluate their derived polynomial
+        for k, l in ((2, 0), (1, 3), (0, 5)):
+            for _ in range(4):
+                pt = PhasePoint(tuple(rng.uniform(-1.2, 1.2, 3)), tuple(rng.uniform(-1.2, 1.2, 3)))
+                a = wigner_kl(k, l, pt, params)
+                b = wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
+                assert a == pytest.approx(b, abs=1e-12)
+        with pytest.raises(ValueError, match="nonnegative"):
+            wigner_kl_closed(-1, 2, 1.0, 1.0, 0.0, params)
 
     def test_factorized_vs_closed_everywhere(self, params, rng):
         for k, l in CLOSED_FORM_STATES:
@@ -233,6 +241,23 @@ class TestClosedForms:
                 assert a == pytest.approx(b, abs=1e-12)
 
 
+def _laplacian_abc(poly):
+    """The 6-D Laplacian in (xi, eta) of a polynomial in (a, b, c), the oracle.
+
+    On a^i b^j c^h it is i(4i+2+8h) a^{i-1} b^j c^h + j(4j+2+8h) a^i b^{j-1} c^h
+    + h(4h-2) (a^{i+1} b^j + a^i b^{j+1}) c^{h-1}.
+    """
+    out = {}
+    for (i, j, h), c in poly.items():
+        for key, f in (((i - 1, j, h), i * (4 * i + 2 + 8 * h)),
+                       ((i, j - 1, h), j * (4 * j + 2 + 8 * h)),
+                       ((i + 1, j, h - 1), h * (4 * h - 2)),
+                       ((i, j + 1, h - 1), h * (4 * h - 2))):
+            if f:
+                out[key] = out.get(key, 0) + f * c
+    return {key: c for key, c in out.items() if c}
+
+
 def _flow_generator(poly):
     """dP/da - dP/db + (b - a) dP/dc, as a dict of its nonzero coefficients."""
     out = defaultdict(Fraction)
@@ -251,7 +276,12 @@ class TestHarmonicFlow:
     """An eigenstate's W is constant along xi -> xi cos f + eta sin f,
     eta -> eta cos f - xi sin f.  On P(a, b, c) = W_kl/W_00 the generator of
     that flow is 2 (xi.eta) (dP/da - dP/db + (b - a) dP/dc), which must vanish
-    identically; equivalently P is a polynomial in a + b and ab - c."""
+    identically; equivalently P is a polynomial in a + b and ab - c.
+
+    The derivation runs in E = a + b and T = ab - c, so for the derived levels
+    this checks only their expansion into (a, b, c); that W_kl itself is
+    flow invariant is checked against the factorized sum in
+    `TestDerivation.test_matches_factorized_sum_in_full_space`."""
 
     @pytest.mark.parametrize("N", range(13))
     def test_derived_levels(self, N):
@@ -306,7 +336,9 @@ class TestDerivation:
     def test_matches_factorized_sum_in_full_space(self, k, l, rng):
         # the derivation never evaluates the factorized sum; W_00 * P must
         # equal the factorized W_kl at general points and at their rotated,
-        # reflected and nu r <-> q/(hbar nu) mirrored images
+        # reflected, nu r <-> q/(hbar nu) mirrored and harmonic-flow images.
+        # P depends on (E, T) only by construction, so this is the test of the
+        # flow invariance the derivation assumes
         p = OscParams(nu=1.4, delta=0.3, hbar=0.8)
         poly = derive_invariant_poly(k, l)
         for _ in range(3):
@@ -321,24 +353,34 @@ class TestDerivation:
             rot = random_rotation(rng)
             refl = np.diag([1.0, 1.0, -1.0]) @ rot
             scale = p.hbar * p.nu**2
+            f = rng.uniform(0.2, 1.3)
+            flow = (rv * math.cos(f) + qv / scale * math.sin(f),
+                    qv * math.cos(f) - rv * scale * math.sin(f))
             for r_img, q_img in ((rv, qv), (rot @ rv, rot @ qv), (refl @ rv, refl @ qv),
-                                 (qv / scale, rv * scale)):
+                                 (qv / scale, rv * scale), flow):
                 got = wigner_kl(k, l, PhasePoint(tuple(r_img), tuple(q_img)), p)
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_husimi_input_matches_factorized_kernel(self, rng):
         # e^{-v} p is the zeta = 1 coalescence probability of the factorized
-        # kernel, with v = (a + b)/2
+        # kernel, with v = E/2, E = a + b and T = |xi x eta|^2
         p = OscParams.from_zeta(1.3, 1.0, 0.9)
         rel_r, rel_p = rng.uniform(-1.5, 1.5, (2, 2000, 3))
         levels = [lv for N in range(9) for lv in shell_states(N)]
         batch = p_kl_batch(levels, rel_r, rel_p, p)
-        a = p.nu**2 * np.sum(rel_r * rel_r, axis=1)
-        b = np.sum(rel_p * rel_p, axis=1) / (p.hbar * p.nu) ** 2
-        c = np.sum(rel_r * rel_p, axis=1) ** 2 / p.hbar**2
+        e = (p.nu**2 * np.sum(rel_r * rel_r, axis=1)
+             + np.sum(rel_p * rel_p, axis=1) / (p.hbar * p.nu) ** 2)
+        t = np.sum(np.cross(rel_r, rel_p) ** 2, axis=1) / p.hbar**2
         for k, l in levels:
-            got = np.exp(-(a + b) / 2) * _eval_invariant_poly(_husimi_poly(k, l), a, b, c)
-            assert np.max(np.abs(got - batch[(k, l)])) <= 1e-14, (k, l)
+            poly = sum(float(cf) * e**i * t**j for (i, j), cf in _husimi_input(k, l).items())
+            assert np.max(np.abs(np.exp(-e / 2) * poly - batch[(k, l)])) <= 1e-14, (k, l)
+
+    def test_laplacian_matches_abc_oracle(self):
+        # expand(Delta_ET m) = Delta_abc(expand m) for every monomial E^i T^j
+        for i in range(13):
+            for j in range((12 - i) // 2 + 1):
+                mono = {(i, j): F(1)}
+                assert _to_abc(_laplacian_et(mono)) == _laplacian_abc(_to_abc(mono)), (i, j)
 
     @pytest.mark.parametrize("N", range(13))
     def test_shell_sum_rule(self, N):

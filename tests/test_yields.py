@@ -194,7 +194,17 @@ def _block_inputs(block):
         "long-then-short": _H7 + "u,1,2,3,4,5,6,dbar,1,2\n3,4,5,6\n" + _plain_rows(b),
         "double-then-split": _H7 + "u,1,2,3,4,5,6,dbar,1,2,3,4,5,6\nu,1,2,3\n4,5,6\n",
         "one-crlf-row": _H7 + _plain_rows(b) + "u,1,2,3,4,5,6\r\n" + _plain_rows(b),
+        # fields longer than csv's field size limit, quoted or not, and in the header
+        "long-number-in-block-2": (_H7 + _plain_rows(b + 1) + f"u,{_LONG_NUMBER},0,0,0,0,0\n"
+                                   + _plain_rows(2)),
+        "long-quoted-after-bad-row": (_H7 + _plain_rows(b) + "xq,0,0,0,0,0,0\n"
+                                      + f'u,"{_LONG_NUMBER}",0,0,0,0,0\n'),
+        "long-header": f'species,rx,ry,rz,px,py,"{_LONG_NUMBER}"\n' + _plain_rows(b),
     }
+
+
+# A number of 140 000 characters, longer than csv's default field size limit
+_LONG_NUMBER = "0." + "0" * 139_997 + "1"
 
 
 def _outcome(source):
@@ -244,6 +254,10 @@ class TestLoaderBlocks:
         assert outcome["crlf-bad"].startswith(f"line {2 + 2 * block}: unknown species 'xq'")
         assert outcome["long-then-short"] == "line 2: expected 7 fields, got 10"
         assert outcome["double-then-split"] == "line 2: expected 7 fields, got 14"
+        too_long = "field larger than field limit (131072)"
+        assert outcome["long-number-in-block-2"] == f"line {3 + block}: {too_long}"
+        assert outcome["long-quoted-after-bad-row"].startswith(f"line {2 + block}: unknown species")
+        assert outcome["long-header"] == f"line 1: {too_long}"
 
 
 class TestChannelTable:
