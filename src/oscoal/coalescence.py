@@ -3,36 +3,52 @@
 Two isotropic wave packets with centroids (r1, p1), (r2, p2) and common width
 delta capture into a bound state of the relative-coordinate oscillator with a
 probability that depends only on the relative separation r = r1 - r2 and
-relative momentum p = (p1 - p2)/2.  The m-summed probability into the (k, l)
-level factorizes over the cartesian axes,
+relative momentum p = (p1 - p2)/2.  The 1-D quasi-probabilities of `ho1d`
+have rank one, P_{n' n} = conj(g_{n'}) g_n, so the relative state is a
+product of three squeezed coherent states.  In the Bargmann representation
+(V. Bargmann, Comm. Pure Appl. Math. 14 (1961) 187) it is
+G0^3 exp(b.alpha + c alpha.alpha) with
 
-    P_kl = sum_m sum_{t, t'} conj(C_{klm, t'}) C_{klm, t}
-           P_{t1' t1}(r1, p1) P_{t2' t2}(r2, p2) P_{t3' t3}(r3, p3),
+    b = sqrt(2) (rho + i z^2 pi~)/(1+z^2),   c = (z^2 - 1)/(2 (1+z^2)),
+    |G0|^6 = (2z/(1+z^2))^3 exp(-(rho^2 + z^2 pi~^2)/(1+z^2)),
 
-with the 1-D quasi-probabilities of `ho1d`.  Each of those has rank one,
-P_{n' n} = conj(g_{n'}) g_n, so the double sum collapses to squared level
-amplitudes,
+rho = nu r, pi~ = p/(nu hbar), z = zeta = 2 delta nu.  Expanding
+exp(b.alpha) in solid harmonics gives the m-summed probability of every
+(k, l) level in closed form, with no coefficient matrix and no m-sum:
 
-    P_kl = sum_m |A_m|^2,
-    A_m = sum_t C_{klm, t} g_{t1}(r1, p1) g_{t2}(r2, p2) g_{t3}(r3, p3),
+    P_kl = |G0|^6 n_kl |F_kl|^2 L_l,
+    n_kl |F_kl|^2 = 2^k k! (2k+2l+1)!! (2l+1)
+                    |sum_j B^j c^(k-j) / (2^j j! (2l+2j+1)!! (k-j)!)|^2,
+    L_l = |B|^l P_l(|b|^2/|B|),
 
-which makes P_kl >= 0 hold by construction and gives P_klm = |A_m|^2 for
-free.  At matched scales (zeta = 1) every level has a closed form in the two
+B = b.b (no conjugate), P_l the Legendre polynomial.  L_l runs on the
+homogeneous recurrence (n+1) Q_{n+1} = (2n+1)|b|^2 Q_n - n|B|^2 Q_{n-1},
+which needs no division and, as |b|^2 >= |B|, loses no digits to
+cancellation.  A point enters only through rho.rho, pi~.pi~ and rho.pi~.
+
+The paper's factorized expansion is kept for the m-resolved probability:
+P_klm = |A_m|^2 with A_m = sum_t C_{klm, t} g_{t1} g_{t2} g_{t3} over the
+product triples t of the shell, so P_klm >= 0 holds by construction, and
+sum_m P_klm = P_kl checks the closed form level by level.
+
+At matched scales (zeta = 1) c = 0, |b|^2 = v and |B|^2 = s = v^2 - t in the
 invariants
 
     v = nu^2 r^2 / 2 + p^2 / (2 hbar^2 nu^2),
     t = |r x p|^2 / hbar^2:
 
-e^v P_kl is a polynomial in v and s = v^2 - t (`_husimi_terms`), the Husimi
-function of the (k, l) multiplet from which `wigner3d` derives W_kl.  The
-levels of one energy shell N sum to the Poisson weight e^{-v} v^N/N!, with
-the t dependence cancelling inside each shell.  The final bound-state
-momentum is distributed around P_i = p1 + p2 with the Gaussian overlap factor
-J; in the semi-classical limit J becomes a delta function.
+e^v P_kl is a polynomial in v and s with exact rational coefficients
+(`_husimi_terms`), the Husimi function of the (k, l) multiplet from which
+`wigner3d` derives W_kl.  The levels of one energy shell N sum to the Poisson
+weight e^{-v} v^N/N!, with the t dependence cancelling inside each shell.
+The final bound-state momentum is distributed around P_i = p1 + p2 with the
+Gaussian overlap factor J; in the semi-classical limit J becomes a delta
+function.
 
 `p_kl_oracle` recomputes P_kl by Gauss-Hermite quadrature of the wave-packet
 overlap integrals against the closed-form 1-D Wigner functions, a route
-independent of the amplitude recurrence of `ho1d.quasi_amplitudes`.
+independent of both the closed form and the amplitude recurrence of
+`ho1d.quasi_amplitudes`.
 """
 
 import math
@@ -42,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expansion import _coeff_matrix, bilinear_assemble, bilinear_table
+from .expansion import Ame, _coeff_matrix, bilinear_assemble, bilinear_table
 from .ho1d import _wigner_poly, quasi_amplitudes
 from .ho1d import quasi_prob_table  # unused here; perfbench/spans.py wraps this name
 from .specfun import _gh_grid, double_factorial
@@ -147,14 +163,15 @@ def v_and_t(rel_r, rel_p, params):
     r = np.asarray(rel_r, dtype=float)
     p = np.asarray(rel_p, dtype=float)
     nu, hbar = params.nu, params.hbar
-    v = 0.5 * (nu**2 * _norm2(r) + _norm2(p) / (hbar * nu) ** 2)
-    t = _norm2(np.cross(r, p)) / hbar**2
+    rxp = np.cross(r, p)
+    v = 0.5 * (nu**2 * _dot(r, r) + _dot(p, p) / (hbar * nu) ** 2)
+    t = _dot(rxp, rxp) / hbar**2
     return (float(v), float(t)) if v.ndim == 0 else (v, t)
 
 
-def _norm2(x):
-    """Squared norms over the last axis, one dot product per point."""
-    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+def _dot(x, y):
+    """Dot products over the last axis, one matrix product per point."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def j_overlap(p_i, p_f, delta, hbar=1.0):
@@ -176,28 +193,15 @@ def shell_states(N):
     return [(k, N - 2 * k) for k in range(N // 2 + 1)]
 
 
-def _level_amplitudes(k, l, g):
-    """A[m + l, i] = sum_t C_{klm, t} g[t1, 0, i] g[t2, 1, i] g[t3, 2, i].
-
-    `g` is the `quasi_amplitudes` array of shape (nmax+1, 3, n), the three
-    axes of n relative points; the level probabilities are |A|^2.  The sum
-    over t runs in a fixed order on elementwise products, without BLAS, so a
-    point's amplitude does not depend on which other points come with it.
-    """
-    triples, cmat = _coeff_matrix(k, l)
-    a = np.zeros((2 * l + 1,) + g.shape[2:], dtype=complex)
-    for j, t in enumerate(triples):
-        a += cmat[:, j, None] * (g[t.n1, 0] * g[t.n2, 1] * g[t.n3, 2])
-    return a
-
-
 def p_klm(k, l, m, rel, params):
-    """m-resolved coalescence probability into the state (k, l, m)."""
-    if abs(m) > l:
-        raise ValueError(f"|m| must not exceed l, got l={l}, m={m}")
-    r = np.asarray(rel.r_vec, dtype=float)[:, None]
-    p = np.asarray(rel.p_vec, dtype=float)[:, None]
-    a = _level_amplitudes(k, l, quasi_amplitudes(r, p, params, 2 * k + l))[m + l, 0]
+    """m-resolved coalescence probability into the state (k, l, m).
+
+    |A_m|^2 of the factorized amplitude A_m = sum_t C_{klm, t} g_t1 g_t2 g_t3.
+    """
+    Ame(k, l, m)  # raises ValueError for a negative k or l, or |m| > l
+    triples, cmat = _coeff_matrix(k, l)
+    g = quasi_amplitudes(rel.r_vec, rel.p_vec, params, 2 * k + l)
+    a = sum(c * (g[t.n1, 0] * g[t.n2, 1] * g[t.n3, 2]) for c, t in zip(cmat[m + l], triples))
     return float(a.real**2 + a.imag**2)
 
 
@@ -259,27 +263,64 @@ def poisson_sum(N, rel, params):
 _BLOCK = 4096
 
 
+def _f_weights(k, l, c):
+    """Weights w_j of F_kl = sum_j w_j B^j, w_j = c^(k-j) / (2^j j! (2l+2j+1)!! (k-j)!)."""
+    return [
+        c ** (k - j)
+        / (2**j * math.factorial(j) * double_factorial(2 * l + 2 * j + 1) * math.factorial(k - j))
+        for j in range(k + 1)
+    ]
+
+
 def p_kl_batch(levels, rel_r, rel_p, params):
     """Vectorized P_kl for many relative points at once.
 
     `levels` is an iterable of (k, l); rel_r and rel_p have shape (n, 3).
-    Returns {(k, l): ndarray of n probabilities}, each the m-sum of the
-    squared level amplitudes built from the per-axis quasi-probability
-    amplitudes.
+    Returns {(k, l): ndarray of n probabilities} from the closed form
+    P_kl = |G0|^6 n_kl |F_kl|^2 L_l of the module notes.  Where |G0|^6
+    underflows, P_kl is 0.
     """
+    levels = list(levels)
+    if any(k < 0 or l < 0 for k, l in levels):
+        raise ValueError(f"levels need nonnegative k and l, got {levels}")
     rel_r = np.asarray(rel_r, dtype=float)
     rel_p = np.asarray(rel_p, dtype=float)
-    levels = list(levels)
-    nmax = max(2 * k + l for k, l in levels)
+    if rel_r.ndim != 2 or rel_r.shape[1] != 3 or rel_p.shape != rel_r.shape:
+        raise ValueError(
+            f"rel_r and rel_p must both have shape (n, 3), got {rel_r.shape} and {rel_p.shape}"
+        )
+    z = params.zeta
+    s = 1.0 + z * z
+    c = (z * z - 1.0) / (2.0 * s)
+    weights = {(k, l): _f_weights(k, l, c) for k, l in levels}
+    norm = {
+        (k, l): 2**k * math.factorial(k) * double_factorial(2 * k + 2 * l + 1) * (2 * l + 1)
+        for k, l in levels
+    }
+    lmax = max((l for _, l in levels), default=0)
     n = rel_r.shape[0]
-    out = {lv: np.zeros(n) for lv in levels}
+    out = {lv: np.empty(n) for lv in levels}
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        g = quasi_amplitudes(rel_r[block].T, rel_p[block].T, params, nmax)
-        for k, l in levels:
-            total = out[(k, l)][block]
-            for a in _level_amplitudes(k, l, g):
-                total += a.real**2 + a.imag**2
+        rho = rel_r[block] * params.nu
+        pit = rel_p[block] / (params.nu * params.hbar)
+        # far points: |G0|^6 underflows to 0 while the polynomial overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            rr, pp, rp = _dot(rho, rho), _dot(pit, pit), _dot(rho, pit)
+            g6 = (2.0 * z / s) ** 3 * np.exp(-(rr + z * z * pp) / s)
+            b2 = 2.0 * (rr + z**4 * pp) / s**2
+            bb = 2.0 * (rr - z**4 * pp + 2j * z * z * rp) / s**2
+            bb2 = bb.real**2 + bb.imag**2
+            q = [1.0, b2]
+            for i in range(1, lmax):
+                q.append(((2 * i + 1) * b2 * q[i] - i * bb2 * q[i - 1]) / (i + 1))
+            for k, l in levels:
+                w = weights[(k, l)]
+                f = w[k]
+                for j in range(k - 1, -1, -1):
+                    f = f * bb + w[j]
+                val = g6 * norm[(k, l)] * (f.real**2 + f.imag**2) * q[l]
+                out[(k, l)][block] = np.where(g6 == 0.0, 0.0, val)
     return out
 
 

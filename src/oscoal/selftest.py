@@ -450,8 +450,17 @@ def _check_coalescence_oracle():
             for k, l in ((0, 0), (0, 1), (0, 2), (1, 0)):
                 md = max(md, abs(coalescence.p_kl(k, l, rel, params)
                                  - coalescence.p_kl_oracle(k, l, rel, params)))
-    return CheckResult("coalescence vs overlap-integral quadrature (zeta 1/2, 1, 2)",
-                       md <= 1e-7, md, 1e-7)
+    # the factorized m-resolved split against the closed-form m-sum
+    md_m = 0.0
+    for z in (0.5, 2.0):
+        params = OscParams.from_zeta(1.0, z)
+        rel = PhasePoint(tuple(rng.uniform(-1.2, 1.2, 3)), tuple(rng.uniform(-1.2, 1.2, 3)))
+        for N in range(7):
+            for k, l in coalescence.shell_states(N):
+                parts = sum(coalescence.p_klm(k, l, m, rel, params) for m in range(-l, l + 1))
+                md_m = max(md_m, abs(parts - coalescence.p_kl(k, l, rel, params)))
+    return CheckResult("coalescence vs quadrature (zeta 1/2, 1, 2); sum_m P_klm = P_kl (N <= 6)",
+                       md <= 1e-7 and md_m <= 1e-14, max(md, md_m), 1e-7)
 
 
 def _check_yields():

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +23,26 @@ from oscoal.coalescence import (
 )
 from oscoal.expansion import bilinear_assemble, bilinear_table
 from oscoal.ho1d import OscParams, quasi_amplitudes, quasi_prob_table
+from oscoal.specfun import double_factorial
 
 LEVELS_N3 = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
 LEVELS_N8 = tuple(lv for N in range(9) for lv in shell_states(N))
+LEVELS_N12 = tuple(lv for N in range(13) for lv in shell_states(N))
+
+# Origin, on-axis points and r parallel to p: many m-resolved probabilities
+# are 0 exactly here, where a P_klm summed from signed terms can dip below 0.
+SPECIAL_POINTS = (
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.7, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.0, -1.1, 0.0)),
+    ((0.0, 0.0, 1.3), (0.0, 0.0, 0.0)),
+    ((0.6, 0.0, 0.0), (0.0, 0.9, 0.0)),
+    ((0.0, 0.0, -0.8), (1.2, 0.0, 0.0)),
+    ((0.5, 0.0, 0.0), (1.5, 0.0, 0.0)),
+    ((0.0, 0.4, 0.0), (0.0, -0.9, 0.0)),
+    ((0.0, 0.0, 1.0), (0.0, 0.0, 0.6)),
+    ((0.3, -0.6, 0.9), (-0.4, 0.8, -1.2)),
+)
 
 # The paper's printed zeta = 1 forms e^v P_kl(v, t) for the shells N <= 3.
 PRINTED_N3 = {
@@ -160,13 +179,29 @@ class TestPKl:
         assert total.real == pytest.approx(p_kl(1, 1, rel, params), abs=1e-14)
 
     def test_m_resolved_levels_sum_to_p_kl(self, rng):
-        p = OscParams.from_zeta(1.0, 2.0)
-        rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
-        for N in range(6):
-            for k, l in shell_states(N):
+        # the factorized m-resolved split against the closed-form m-sum
+        for zeta in (0.25, 1.0, 3.0):
+            p = OscParams.from_zeta(1.0, zeta)
+            rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+            for k, l in LEVELS_N12:
                 parts = [p_klm(k, l, m, rel, p) for m in range(-l, l + 1)]
                 assert min(parts) >= 0
                 assert sum(parts) == pytest.approx(p_kl(k, l, rel, p), abs=1e-14)
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_m_resolved_nonnegative_at_special_points(self, zeta):
+        p = OscParams.from_zeta(1.0, zeta)
+        for r_vec, p_vec in SPECIAL_POINTS:
+            rel = PhasePoint(r_vec, p_vec)
+            for k, l in LEVELS_N8:
+                for m in range(-l, l + 1):
+                    assert p_klm(k, l, m, rel, p) >= 0.0, (r_vec, p_vec, k, l, m)
+
+    def test_m_resolved_rejects_bad_labels(self, params):
+        rel = PhasePoint((0.1, 0, 0), (0, 0.2, 0))
+        for k, l, m in ((0, 1, 2), (-1, 2, 0), (0, -1, 0)):
+            with pytest.raises(ValueError, match="nonnegative|must not exceed"):
+                p_klm(k, l, m, rel, params)
 
     def test_batch_matches_scalar(self, params, rng):
         rel_r = rng.uniform(-1, 1, (6, 3))
@@ -178,10 +213,10 @@ class TestPKl:
                 assert batch[(k, l)][i] == pytest.approx(p_kl(k, l, rel, params), abs=1e-14)
 
     def test_batch_value_independent_of_neighbours(self, rng):
-        # Several blocks plus a one-point tail, and a level with 2l + 1 > 8
-        # terms in the m-sum: each point's value is bitwise its own.
+        # Several blocks plus a one-point tail, and levels with a long Legendre
+        # recurrence and a long F_kl sum: each point's value is bitwise its own.
         p = OscParams.from_zeta(1.0, 2.0)
-        levels = ((0, 0), (1, 1), (0, 5))
+        levels = ((0, 0), (1, 1), (0, 5), (4, 3))
         rel_r = rng.uniform(-2, 2, (2 * coalescence._BLOCK + 1, 3))
         rel_p = rng.uniform(-2, 2, rel_r.shape)
         batch = p_kl_batch(levels, rel_r, rel_p, p)
@@ -189,6 +224,86 @@ class TestPKl:
             alone = p_kl_batch(levels, rel_r[i : i + 1], rel_p[i : i + 1], p)
             for lv in levels:
                 assert batch[lv][i] == alone[lv][0]
+
+    @pytest.mark.parametrize("levels", [[(0, -1)], [(-1, 2)], [(0, 0), (-2, 0)]])
+    def test_negative_level_rejected(self, params, levels):
+        with pytest.raises(ValueError, match="nonnegative k and l"):
+            p_kl_batch(levels, np.zeros((2, 3)), np.zeros((2, 3)), params)
+        k, l = levels[-1]
+        with pytest.raises(ValueError, match="nonnegative k and l"):
+            p_kl(k, l, PhasePoint((0.3, 0, 0), (0, 0.2, 0)), params)
+
+    @pytest.mark.parametrize(
+        "shape_r, shape_p",
+        [((3,), (3,)), ((4, 2), (4, 2)), ((4, 3), (5, 3)), ((4, 3), (4,)), ((2, 4, 3), (2, 4, 3))],
+    )
+    def test_point_shapes_rejected(self, params, shape_r, shape_p):
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            p_kl_batch([(0, 1)], np.ones(shape_r), np.ones(shape_p), params)
+
+    @pytest.mark.parametrize("zeta", [0.25, 1.0, 3.0])
+    def test_far_separations_are_zero(self, zeta):
+        # |G0|^6 underflows long before the polynomial overflows; the product
+        # is 0, with no NaN and no floating-point warning
+        p = OscParams.from_zeta(1.0, zeta)
+        mags = 10.0 ** np.array([3.0, 14.0, 30.0, 100.0, 150.0])[:, None]
+        zero = np.zeros((len(mags), 3))
+        rel_r = np.concatenate([mags * [0.6, -0.48, 0.64], zero, mags * [0.0, 0.0, 1.0]])
+        rel_p = np.concatenate([zero, mags * [0.0, 1.0, 0.0], mags * [0.8, 0.0, -0.6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+        for lv in LEVELS_N12:
+            assert batch[lv].tolist() == [0.0] * len(rel_r), lv
+
+    def test_batch_builds_no_coefficient_matrix(self, rng, monkeypatch):
+        def refuse(k, l):
+            raise AssertionError(f"coefficient matrix of ({k}, {l}) requested")
+
+        monkeypatch.setattr(coalescence, "_coeff_matrix", refuse)
+        p = OscParams.from_zeta(1.0, 2.0)
+        rel_r, rel_p = rng.uniform(-1, 1, (2, 5, 3))
+        batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+        assert all(np.all(batch[lv] > 0) for lv in LEVELS_N12)
+        assert p_kl(2, 3, PhasePoint(tuple(rel_r[0]), tuple(rel_p[0])), p) == batch[(2, 3)][0]
+
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_matches_exact_rational_evaluation(self, zeta, rng):
+        # At dyadic rho, pi~ and zeta the polynomial part n_kl |F_kl|^2 L_l is
+        # rational: evaluate it in Fractions (L_l by its power sum, F_kl term
+        # by term) and multiply by the float prefactor |G0|^6.
+        p = OscParams.from_zeta(1.0, zeta)
+        z = Fraction(zeta)
+        s = 1 + z * z
+        c = (z * z - 1) / (2 * s)
+        rel_r, rel_p = rng.integers(-16, 17, (2, 8, 3)) / 8
+        batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+        for i in range(len(rel_r)):
+            rho = [Fraction(x) for x in rel_r[i]]
+            pit = [Fraction(x) for x in rel_p[i]]
+            rr = sum(x * x for x in rho)
+            pp = sum(x * x for x in pit)
+            rp = sum(x * y for x, y in zip(rho, pit))
+            b2 = 2 * (rr + z**4 * pp) / s**2
+            bb = (2 * (rr - z**4 * pp) / s**2, 4 * z * z * rp / s**2)
+            bb2 = bb[0] ** 2 + bb[1] ** 2
+            g6 = float((2 * z / s) ** 3) * math.exp(float(-(rr + z * z * pp) / s))
+            for k, l in LEVELS_N12:
+                f_re, f_im, power = Fraction(0), Fraction(0), (Fraction(1), Fraction(0))
+                for j in range(k + 1):
+                    w = c ** (k - j) / (2**j * math.factorial(j) * math.factorial(k - j)
+                                        * double_factorial(2 * l + 2 * j + 1))
+                    f_re, f_im = f_re + w * power[0], f_im + w * power[1]
+                    power = (power[0] * bb[0] - power[1] * bb[1],
+                             power[0] * bb[1] + power[1] * bb[0])
+                legendre = sum(
+                    (-1) ** h * math.comb(l, h) * math.comb(2 * l - 2 * h, l)
+                    * b2 ** (l - 2 * h) * bb2**h
+                    for h in range(l // 2 + 1)
+                ) / 2**l
+                norm = 2**k * math.factorial(k) * double_factorial(2 * k + 2 * l + 1) * (2 * l + 1)
+                exact = g6 * float(norm * (f_re**2 + f_im**2) * legendre)
+                assert abs(batch[(k, l)][i] - exact) <= 1e-15, (i, k, l)
 
 
 class TestClosedForms:
@@ -264,9 +379,9 @@ class TestPoissonSum:
         # enters that side
         p = OscParams.from_zeta(1.3, zeta, 0.9)
         rel_r, rel_p = rng.uniform(-1.5, 1.5, (2, 500, 3))
-        batch = p_kl_batch([lv for N in range(9) for lv in shell_states(N)], rel_r, rel_p, p)
-        g2 = np.abs(quasi_amplitudes(rel_r.T, rel_p.T, p, 8)) ** 2
-        for N in range(9):
+        batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+        g2 = np.abs(quasi_amplitudes(rel_r.T, rel_p.T, p, 12)) ** 2
+        for N in range(13):
             expected = sum(
                 g2[n1, 0] * g2[n2, 1] * g2[N - n1 - n2, 2]
                 for n1 in range(N + 1)
