@@ -123,21 +123,6 @@ class PhasePoint:
         rel_r, rel_p = canonical_points([r], [p], [theta])
         return cls(rel_r[0], rel_p[0])
 
-    @property
-    def r2(self):
-        return sum(x * x for x in self.r_vec)
-
-    @property
-    def p2(self):
-        return sum(x * x for x in self.p_vec)
-
-    @property
-    def rp(self):
-        return sum(a * b for a, b in zip(self.r_vec, self.p_vec))
-
-    def invariants(self, params):
-        return v_and_t(self.r_vec, self.p_vec, params)
-
 
 def canonical_points(r, p, theta):
     """(n, 3) r and p vectors with |r| = r, |p| = p at angle theta, r along x.

@@ -346,7 +346,7 @@ def _check_wigner3d_consistency():
             qv = rng.uniform(-1.3, 1.3, 3)
             pt = PhasePoint(tuple(rv), tuple(qv))
             a = wigner3d.wigner_kl(k, l, pt, params)
-            b = wigner3d.wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
+            b = wigner3d.wigner_kl_closed(k, l, pt.r_vec, pt.p_vec, params)
             md_closed = max(md_closed, abs(a - b))
             # nu r <-> q/(hbar nu) mirror and rotation invariance
             mirror = PhasePoint(tuple(qv), tuple(rv))

@@ -19,18 +19,19 @@ W_kl is also invariant under the harmonic flow, and both it and rotations
 act on x = (xi, eta), xi = nu r, eta = q/(hbar nu), as orthogonal maps, so
 W_kl / W_00 is a polynomial in E = a + b = |x|^2 and T = ab - c = |xi x eta|^2
 with rational coefficients.  `_derive_et` computes it exactly from the
-zeta = 1 coalescence probability, whose exact terms `coalescence._husimi_terms`
-holds: P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so
-e^v P_kl = (2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, which
-maps polynomials in (E, T) to polynomials in (E, T), and the inverse heat flow
-P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite series.  On a 2-vCPU
-VM all 49 levels with N <= 12 derive in about 0.04 s, and in about 0.15 s
-with `derive_invariant_poly`'s expansion into (a, b, c).  Every W_kl here, `wigner_kl_closed` and
-`export_grid` included, evaluates that expansion; no coefficient table is
-stored.  The phase-space integral of each derived polynomial is 1 exactly
-(`_normalization_exact`).  Two terms of the commonly tabulated printed forms
-for the (0,3) and (1,1) states fail the nu r <-> q/(hbar nu) mirror symmetry;
-the derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
+zeta = 1 coalescence probability of `coalescence._husimi_terms`:
+P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so e^v P_kl =
+(2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, which maps
+polynomials in (E, T) to polynomials in (E, T), and the inverse heat flow
+P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite series.  All 49
+levels with N <= 12 derive in about 0.04 s on a 2-vCPU VM.
+`wigner_kl_closed` and `export_grid` evaluate each T^j coefficient in the
+Laguerre basis L_n^(2+2j)(2E): for r, q in [0, 4], pi^3 hbar^3 W is within
+2e-15 of exact values at the same float E and T for N <= 9, and within
+3.1e-14 at N = 12.  The phase-space integral of each derived polynomial is
+1 exactly (`_normalization_exact`).  Two terms of the commonly tabulated
+printed forms for the (0,3) and (1,1) states fail the mirror symmetry; the
+derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
 """
 
 import math
@@ -40,12 +41,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coalescence import PhasePoint, _husimi_terms
+from .coalescence import PhasePoint, _husimi_terms, v_and_t
 from .expansion import Ame, _coeff_matrix, _psi_cartesian, bilinear_assemble, bilinear_table
 from .expansion import psi_klm
 from .expansion import d_coeff_reduced  # unused here; perfbench/spans.py wraps this name
 from .ho1d import Phase1D, wigner_1d
-from .specfun import _gh_grid, double_factorial, spherical_harmonic
+from .specfun import _gh_grid, assoc_laguerre, double_factorial, spherical_harmonic
 
 __all__ = [
     "PhasePoint3D",
@@ -276,33 +277,45 @@ REFERENCE_TABULATION_NOTES = (
 CLOSED_FORM_STATES = tuple(REFERENCE_TABULATION)
 
 
-def _eval_invariant_poly(poly, a, b, c):
-    out = 0.0
-    for (i, j, h), cf in poly.items():
-        out = out + float(cf) * a**i * b**j * c**h
-    return out
+@lru_cache(maxsize=None)
+def _laguerre_terms(k, l):
+    """W_kl / W_00 as float terms (j, ((n, d), ...)) of sum_j T^j sum_n d L_n^(2+2j)(2E).
 
-
-def _w00_times_poly(poly, a, b, c, hbar):
-    """W_00 * P(a, b, c), the W_kl of the invariant polynomial P."""
-    w00 = np.exp(-a - b) / (math.pi**3 * hbar**3)
-    return w00 * _eval_invariant_poly(poly, a, b, c)
-
-
-def wigner_kl_closed(k, l, r2, q2, rq, params):
-    """Closed-form W_kl of the derived polynomial, any level.
-
-    Takes the scalar invariants r^2, q^2 and r.q; accepts arrays.
+    Each T^j coefficient of `_derive_et` is converted exactly with
+    x^i = i! sum_{n <= i} (-1)^n C(i + a, i - n) L_n^(a)(x), a = 2 + 2j, x = 2E.
     """
-    poly = derive_invariant_poly(k, l)
-    nu, hbar = params.nu, params.hbar
-    a = nu * nu * np.asarray(r2, dtype=float)
-    b = np.asarray(q2, dtype=float) / (hbar * nu) ** 2
-    c = (np.asarray(rq, dtype=float) / hbar) ** 2
-    out = _w00_times_poly(poly, a, b, c, hbar)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    N = 2 * k + l
+    d = [[0] * (N + 1) for _ in range(N // 2 + 1)]
+    for (i, j), cf in _derive_et(k, l).items():
+        for n in range(i + 1):
+            d[j][n] += cf * (-1) ** n * math.factorial(i) * math.comb(i + 2 + 2 * j, i - n) / 2**i
+    return tuple((j, tuple((n, float(c)) for n, c in enumerate(row) if c))
+                 for j, row in enumerate(d) if any(row))
+
+
+def _wigner_et(k, l, E, T, hbar):
+    """W_kl = e^{-E}/(pi hbar)^3 sum_j T^j sum_n d L_n^(2+2j)(2E) at the invariants E, T.
+
+    Exactly 0 where e^{-E} underflows; far out the sum overflows, so callers
+    run this under np.errstate(over="ignore", invalid="ignore").
+    """
+    E, T = np.asarray(E, dtype=float), np.asarray(T, dtype=float)
+    x = 2.0 * E
+    w00 = np.exp(-E) / (math.pi**3 * hbar**3)
+    poly = sum(T**j * sum(d * assoc_laguerre(n, 2 + 2 * j, x) for n, d in terms)
+               for j, terms in _laguerre_terms(k, l))
+    return np.where(w00 == 0.0, 0.0, w00 * poly)
+
+
+def wigner_kl_closed(k, l, r, q, params):
+    """Closed-form W_kl, any level, at points r, q of shape (3,) (a float) or (n, 3).
+
+    E = 2v and T = t come from `v_and_t`, whose cross product does not cancel.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # far points: see _wigner_et
+        v, t = v_and_t(r, q, params)
+        out = _wigner_et(k, l, 2.0 * v, t, params.hbar)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +395,11 @@ def _normalization_exact(poly):
     return total
 
 
+def _eval_invariant_poly(poly, a, b, c):
+    """P(a, b, c) in float monomials; `_normalization_quadrature`'s own evaluation."""
+    return sum(float(cf) * a**i * b**j * c**h for (i, j, h), cf in poly.items())
+
+
 def _normalization_quadrature(poly):
     """The same integral in floats, by 6-node Gauss-Hermite quadrature.
 
@@ -444,8 +462,8 @@ def export_grid(k, l, r_axis, q_axis, theta_axis, params):
     """Evaluate W_kl on an (r, q, theta) product grid and extract node lines.
 
     Axes must be strictly increasing (theta may be any finite list).  Uses
-    the exact invariant polynomial of `derive_invariant_poly`, evaluated
-    vectorized; node lines are level crossings of each theta slice.
+    the evaluator of `wigner_kl_closed`; node lines are level crossings of
+    each theta slice.
     """
     r_axis = np.asarray(r_axis, dtype=float)
     q_axis = np.asarray(q_axis, dtype=float)
@@ -453,15 +471,11 @@ def export_grid(k, l, r_axis, q_axis, theta_axis, params):
     for ax, name in ((r_axis, "r"), (q_axis, "q")):
         if ax.ndim != 1 or len(ax) < 2 or np.any(np.diff(ax) <= 0):
             raise ValueError(f"{name} axis must be strictly increasing with >= 2 points")
-    poly = derive_invariant_poly(k, l)
     nu, hbar = params.nu, params.hbar
-    a = (nu * r_axis[:, None, None]) ** 2
-    b = (q_axis[None, :, None] / (hbar * nu)) ** 2
-    cos2 = np.cos(theta_axis[None, None, :]) ** 2
-    c = a * b * cos2
-    values = _w00_times_poly(poly, a, b, c, hbar)
-    nodes = [
-        level_crossings(r_axis, q_axis, values[:, :, s])
-        for s in range(len(theta_axis))
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # far cells: see _wigner_et
+        # E as `v_and_t` forms 2v, T = ab sin^2(theta) without cancellation
+        a = nu**2 * r_axis[:, None, None] ** 2
+        b = q_axis[None, :, None] ** 2 / (hbar * nu) ** 2
+        values = _wigner_et(k, l, a + b, a * b * np.sin(theta_axis) ** 2, hbar)
+    nodes = [level_crossings(r_axis, q_axis, values[:, :, s]) for s in range(len(theta_axis))]
     return WignerGrid(k, l, r_axis, q_axis, theta_axis, values, nodes, params)

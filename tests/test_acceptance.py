@@ -122,7 +122,7 @@ def test_05_closed_forms_and_typo_flags(params):
                 md,
                 abs(
                     wigner3d.wigner_kl(k, l, pt, params)
-                    - wigner3d.wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
+                    - wigner3d.wigner_kl_closed(k, l, pt.r_vec, pt.p_vec, params)
                 ),
             )
     # every selftest group passes, and the two documented deviations from

@@ -186,13 +186,22 @@ class TestWignerCommand:
         assert header["state"] == {"k": 0, "l": 1}
         assert values.shape == (21, 21, 1)
         # spot value against the library
+        from oscoal.coalescence import PhasePoint
         from oscoal.ho1d import OscParams
         from oscoal.wigner3d import wigner_kl_closed
 
         p = OscParams(nu=1.0, delta=0.5)
-        r = header["axes"]["r"][7]
-        q = header["axes"]["q"][11]
-        assert values[7, 11, 0] == wigner_kl_closed(0, 1, r * r, q * q, r * q, p)
+        pt = PhasePoint.from_invariants(header["axes"]["r"][7], header["axes"]["q"][11], 0.0)
+        assert values[7, 11, 0] == wigner_kl_closed(0, 1, pt.r_vec, pt.p_vec, p)
+
+    def test_far_grid_writes_zeros(self, tmp_path):
+        # e^{-E} underflows where the polynomial overflows: 0 in the file, not nan
+        out = tmp_path / "w.dat"
+        code = run(["wigner", "--k", "0", "--l", "1", "--grid", "r:0:1e200:3,q:0:4:3,theta:0,1",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        _, values = read_wigner_grid(out)
+        assert np.all(values[1:] == 0.0) and np.all(np.isfinite(values))
 
     def test_requires_out(self, monkeypatch):
         monkeypatch.setattr("oscoal.cli.export_grid", _must_not_compute)

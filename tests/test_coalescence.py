@@ -96,7 +96,7 @@ class TestInvariants:
         rel = PhasePoint.from_packets(a, b)
         assert rel.r_vec == (1.0, 0.0, 0.0)
         assert rel.p_vec == (0.0, 1.0, 0.0)
-        assert rel.invariants(params) == pytest.approx((1.0, 1.0))
+        assert v_and_t(rel.r_vec, rel.p_vec, params) == pytest.approx((1.0, 1.0))
 
 
 class TestPKl:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
-from oscoal.coalescence import PhasePoint, canonical_points, p_kl_batch, shell_states
+from oscoal.coalescence import PhasePoint, canonical_points, p_kl_batch, shell_states, v_and_t
 from oscoal.expansion import Ame, coeff, degenerate_subspace, psi_klm
 from oscoal.gridio import read_wigner_grid, write_wigner_grid
 from oscoal.ho1d import OscParams, phi_n
@@ -14,6 +14,7 @@ from oscoal.wigner3d import (
     CLOSED_FORM_STATES,
     PhasePoint3D,
     REFERENCE_TABULATION,
+    _derive_et,
     _husimi_input,
     _laplacian_et,
     _normalization_exact,
@@ -39,17 +40,16 @@ class TestPhasePoint3D:
         assert PhasePoint3D is PhasePoint
 
     def test_invariants(self):
+        # |r|^2 = 9, |q|^2 = 25, r.q = -2: v = 17 and t = 9 * 25 - 4, exactly
         pt = PhasePoint3D((1.0, 2.0, 2.0), (0.0, 3.0, -4.0))
-        assert pt.r2 == 9.0
-        assert pt.p2 == 25.0
-        assert pt.rp == -2.0
-        assert abs(pt.rp) <= math.sqrt(pt.r2 * pt.p2)
+        assert v_and_t(pt.r_vec, pt.p_vec, OscParams(nu=1.0, delta=0.5)) == (17.0, 221.0)
 
     def test_from_invariants(self):
         pt = PhasePoint3D.from_invariants(2.0, 3.0, math.pi / 3)
-        assert pt.r2 == pytest.approx(4.0)
-        assert pt.p2 == pytest.approx(9.0)
-        assert pt.rp == pytest.approx(2.0 * 3.0 * 0.5)
+        assert pt.r_vec == (2.0, 0.0, 0.0)
+        assert pt.p_vec == pytest.approx((1.5, 1.5 * math.sqrt(3), 0.0))
+        v, t = v_and_t(pt.r_vec, pt.p_vec, OscParams(nu=1.0, delta=0.5))
+        assert (v, t) == pytest.approx(((4.0 + 9.0) / 2, (2.0 * 3.0) ** 2 * 0.75))
 
     def test_from_invariants_matches_canonical_points_bitwise(self, rng):
         r, p = rng.uniform(0, 3, (2, 40))
@@ -162,7 +162,7 @@ class TestWignerKl:
         for _ in range(10):
             pt = PhasePoint(tuple(rng.uniform(-1.3, 1.3, 3)), tuple(rng.uniform(-1.3, 1.3, 3)))
             a = wigner_kl(1, 1, pt, params)
-            b = wigner_kl_closed(1, 1, pt.r2, pt.p2, pt.rp, params)
+            b = wigner_kl_closed(1, 1, pt.r_vec, pt.p_vec, params)
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_w10_literal_spot_value(self, params):
@@ -200,16 +200,17 @@ class TestClosedForms:
     def test_w02_angular_dependence_only_through_c(self, params):
         poly = derive_invariant_poly(0, 2)
         assert all(h <= 1 for (_, _, h) in poly)
-        # same invariants a, b, different angle enters only through (r.q)^2
-        a = wigner_kl_closed(0, 2, 1.0, 1.0, 0.3, params)
-        b = wigner_kl_closed(0, 2, 1.0, 1.0, -0.3, params)
+        # same a and b, r.q = +-0.3: the angle enters only through (r.q)^2
+        s = math.sqrt(1.0 - 0.09)
+        a = wigner_kl_closed(0, 2, (1.0, 0, 0), (0.3, s, 0), params)
+        b = wigner_kl_closed(0, 2, (1.0, 0, 0), (-0.3, s, 0), params)
         assert a == b
 
     def test_ground_state_form(self, params, rng):
         for _ in range(5):
-            r2, q2 = rng.uniform(0, 3, 2)
-            got = wigner_kl_closed(0, 0, r2, q2, 0.1, params)
-            assert got == pytest.approx(math.exp(-r2 - q2) / math.pi**3, rel=1e-14)
+            rv, qv = rng.uniform(-1, 1, (2, 3))
+            got = wigner_kl_closed(0, 0, rv, qv, params)
+            assert got == pytest.approx(math.exp(-rv @ rv - qv @ qv) / math.pi**3, rel=1e-14)
 
     def test_accepts_every_level(self, params, rng):
         # levels outside the printed tabulation evaluate their derived polynomial
@@ -217,17 +218,17 @@ class TestClosedForms:
             for _ in range(4):
                 pt = PhasePoint(tuple(rng.uniform(-1.2, 1.2, 3)), tuple(rng.uniform(-1.2, 1.2, 3)))
                 a = wigner_kl(k, l, pt, params)
-                b = wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
+                b = wigner_kl_closed(k, l, pt.r_vec, pt.p_vec, params)
                 assert a == pytest.approx(b, abs=1e-12)
         with pytest.raises(ValueError, match="nonnegative"):
-            wigner_kl_closed(-1, 2, 1.0, 1.0, 0.0, params)
+            wigner_kl_closed(-1, 2, (1.0, 0, 0), (1.0, 0, 0), params)
 
     def test_factorized_vs_closed_everywhere(self, params, rng):
         for k, l in CLOSED_FORM_STATES:
             for _ in range(8):
                 pt = PhasePoint(tuple(rng.uniform(-1.4, 1.4, 3)), tuple(rng.uniform(-1.4, 1.4, 3)))
                 a = wigner_kl(k, l, pt, params)
-                b = wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, params)
+                b = wigner_kl_closed(k, l, pt.r_vec, pt.p_vec, params)
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_factorized_vs_closed_generic_units(self, rng):
@@ -237,8 +238,87 @@ class TestClosedForms:
             for _ in range(4):
                 pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
                 a = wigner_kl(k, l, pt, p)
-                b = wigner_kl_closed(k, l, pt.r2, pt.p2, pt.rp, p)
+                b = wigner_kl_closed(k, l, pt.r_vec, pt.p_vec, p)
                 assert a == pytest.approx(b, abs=1e-12)
+
+
+def _exact_w(k, l, E, T):
+    """pi^3 hbar^3 W_kl at float E, T: `_derive_et` in exact integers, times math.exp(-E)."""
+    poly = _derive_et(k, l)
+    (ne, de), (nt, dt) = E.as_integer_ratio(), T.as_integer_ratio()
+    imax, jmax = max(i for i, _ in poly), max(j for _, j in poly)
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    num = sum(c.numerator * (den // c.denominator) * ne**i * de ** (imax - i) * nt**j * dt ** (jmax - j)
+              for (i, j), c in poly.items())
+    return math.exp(-E) * (num / (den * de**imax * dt**jmax))
+
+
+ALL_LEVELS = [kl for N in range(13) for kl in shell_states(N)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestEvaluator:
+    def test_grid_accuracy_every_level(self, params):
+        # the (a, b, c) monomials read 4.3e-13 at N = 12 on these cells
+        ax = np.linspace(0.0, 4.0, 9)
+        theta = np.array([0.0, 1e-4, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
+        a, b = ax[:, None, None] ** 2, ax[None, :, None] ** 2
+        E = np.broadcast_to(a + b, (9, 9, 6))
+        T = a * b * np.sin(theta) ** 2
+        worst = 0.0
+        for k, l in ALL_LEVELS:
+            got = export_grid(k, l, ax, ax, theta, params).values * math.pi**3
+            for idx in np.ndindex(got.shape):
+                worst = max(worst, abs(got[idx] - _exact_w(k, l, float(E[idx]), float(T[idx]))))
+        assert worst <= 5e-14
+
+    def test_point_accuracy_every_level(self, rng):
+        p = OscParams(nu=1.3, delta=0.3, hbar=0.9)
+        r, q = rng.uniform(-2.0, 2.0, (2, 16, 3))
+        v, t = v_and_t(r, q, p)
+        worst = 0.0
+        for k, l in ALL_LEVELS:
+            got = wigner_kl_closed(k, l, r, q, p) * (math.pi * p.hbar) ** 3
+            for i in range(len(v)):
+                worst = max(worst, abs(got[i] - _exact_w(k, l, 2.0 * v[i], t[i])))
+        assert worst <= 5e-14
+
+    def test_points_batch_matches_single_bitwise(self, params, rng):
+        r, q = rng.uniform(-2.0, 2.0, (2, 20, 3))
+        for k, l in ((0, 0), (1, 3), (3, 6)):
+            batch = wigner_kl_closed(k, l, r, q, params)
+            single = [wigner_kl_closed(k, l, r[i], q[i], params) for i in range(20)]
+            assert isinstance(single[0], float)
+            assert batch.tobytes() == np.array(single).tobytes()
+
+    def test_grid_matches_points_at_theta_zero(self, params):
+        # export_grid forms E as v_and_t does, so the two agree bitwise at T = 0
+        ax = np.linspace(0.0, 3.0, 7)
+        g = export_grid(2, 3, ax, ax, [0.0], params)
+        r, q = canonical_points(np.repeat(ax, 7), np.tile(ax, 7), np.zeros(49))
+        assert g.values[:, :, 0].ravel().tobytes() == wigner_kl_closed(2, 3, r, q, params).tobytes()
+
+    def test_far_grid_is_zero(self, params):
+        # W_00 underflows while the polynomial overflows; the cell is 0, not nan
+        r_axis = np.array([0.0, 1.0, 1e14, 1e200])
+        q_axis = np.array([0.0, 4.0, 1e200])
+        for k, l in ALL_LEVELS:
+            values = export_grid(k, l, r_axis, q_axis, [0.0, 1.0], params).values
+            assert np.all(values[2:] == 0.0) and np.all(values[:, 2] == 0.0)
+            assert np.all(np.isfinite(values))
+
+    def test_far_points_are_zero(self, params, rng):
+        u = rng.normal(size=(2, 12, 3))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        scale = np.array([1e14, 1e30, 1e100, 1e200] * 3)[:, None]
+        for k, l in ALL_LEVELS:
+            assert np.all(wigner_kl_closed(k, l, scale * u[0], u[1], params) == 0.0)
+            assert wigner_kl_closed(k, l, (1e30, 0, 0), (1.0, 0, 0), params) == 0.0
+            assert wigner_kl_closed(k, l, (1e200, 0, 0), (0, 1e200, 0), params) == 0.0
+
+    def test_nan_input_gives_nan(self, params):
+        assert math.isnan(wigner_kl_closed(1, 2, (math.nan, 0, 0), (1.0, 0, 0), params))
+        assert math.isnan(wigner_kl_closed(0, 0, (0, 0, 0), (0, math.nan, 0), params))
 
 
 def _laplacian_abc(poly):
