@@ -149,8 +149,10 @@ def v_and_t(rel_r, rel_p, params):
     p = np.asarray(rel_p, dtype=float)
     nu, hbar = params.nu, params.hbar
     rxp = np.cross(r, p)
-    v = 0.5 * (nu**2 * _dot(r, r) + _dot(p, p) / (hbar * nu) ** 2)
-    t = _dot(rxp, rxp) / hbar**2
+    # far points: the squares overflow to inf, which v and t then are
+    with np.errstate(over="ignore"):
+        v = 0.5 * (nu**2 * _dot(r, r) + _dot(p, p) / (hbar * nu) ** 2)
+        t = _dot(rxp, rxp) / hbar**2
     return (float(v), float(t)) if v.ndim == 0 else (v, t)
 
 

@@ -68,6 +68,13 @@ class OscParams:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.nu, self.delta, self.hbar)):
             raise ValueError(f"nu, delta, hbar must all be positive and finite, got {self}")
+        # the kernels divide by these scales and multiply by them
+        hnu, z2 = self.hbar * self.nu, self.zeta * self.zeta
+        scales = {"nu^2": self.nu * self.nu, "(hbar nu)^2": hnu * hnu, "zeta^4": z2 * z2}
+        for name, x in scales.items():
+            if not (0 < x < math.inf and 1 / x < math.inf):
+                raise ValueError(f"{name} = {x!r} for {self}; nu^2, (hbar nu)^2, zeta^4 and "
+                                 "their reciprocals must be finite and nonzero")
 
     @property
     def zeta(self):

@@ -23,6 +23,16 @@ bit-identical reports (numpy pairwise summation keeps the reduction order
 deterministic).  Channel yields and spectra within one (k, l) level are
 integer multiples of a shared scaled base sum and base spectrum, so ratios
 fixed by the statistical weights (pi+ : rho+ = 1 : 3) hold exactly.
+
+Pairs stream through `pair_yields` in chunks of `_CHUNK`: each chunk builds
+its relative coordinates, evaluates `p_kl_batch` and deposits its spectra,
+so the (chunk x bins) arrays of a smeared deposit stay a few MB.  What grows
+with the number of pairs is one float per pair and level, w1 w2 P_kl, which
+the yield sums and standard errors need whole, and in sampled mode the
+drawn pair indices.  Bins add their pairs in pair order, chunk after chunk,
+so the report is the same bytes for every chunk size.  The one exception is
+a smeared spectrum of a single bin: numpy sums one column pairwise, so it is
+deposited in one chunk of all pairs.
 """
 
 import csv
@@ -183,7 +193,12 @@ def load_particles(source):
 _HEADER = ["species", "rx", "ry", "rz", "px", "py", "pz"]
 
 # Lines converted at a time: bounds the text held in memory.
-_BLOCK = 65536
+_BLOCK = 16384
+
+# Pairs per chunk of `pair_yields`: bounds the (chunk x bins) arrays of a
+# smeared deposit, near 5 MB each at 160 bins.  Measured against 8192 and
+# 16384: those were no faster on the smeared path and raised its peak.
+_CHUNK = 4096
 
 
 def _parse_particles(fh):
@@ -345,6 +360,12 @@ def pair_yields(species1, species2, channels, params, mc_config):
     where scale corrects for pair sampling (1 for full enumeration).  The
     report also carries per-channel standard errors (zero when enumerating)
     and, when mc_config.pf_bins is set, final-momentum spectra.
+
+    Pairs are built, evaluated and deposited `_CHUNK` at a time; what
+    outlives a chunk is one float per pair and level (w1 w2 P_kl) and, in
+    sampled mode, the drawn pair indices.  Every sum adds the pairs in the
+    same order as one pass over all of them, so the report does not depend
+    on the chunk size.
     """
     if not species1 or not species2:
         raise ValueError("both species lists must be nonempty")
@@ -357,53 +378,62 @@ def pair_yields(species1, species2, channels, params, mc_config):
     total_pairs = n1 * n2
 
     if total_pairs <= mc_config.max_pairs:
-        i_idx, j_idx = np.divmod(np.arange(total_pairs), n2)
+        flat = None
+        npairs = total_pairs
         scale = 1.0
         mode = "exact"
     else:
         rng = np.random.default_rng(mc_config.seed)
         flat = rng.integers(0, total_pairs, size=mc_config.max_pairs)
-        i_idx, j_idx = np.divmod(flat, n2)
+        npairs = len(flat)
         scale = total_pairs / mc_config.max_pairs
         mode = "sampled"
-
-    rel_r = r1[i_idx] - r2[j_idx]
-    rel_p = 0.5 * (p1[i_idx] - p2[j_idx])
-    pair_w = w1[i_idx] * w2[j_idx]
-    npairs = len(i_idx)
-
-    levels = sorted({(c.k, c.l) for c in channels})
-    probs = p_kl_batch(levels, rel_r, rel_p, params)
 
     # Channels of one level share a base sum and a base spectrum scaled by a
     # common denominator, so their yields and spectra are exact small-integer
     # multiples of each other.
-    report = {}
-    spectra = {}
-    edges = mc_config.pf_bins
-    if edges is not None:
-        p_i = p1[i_idx, mc_config.pf_axis] + p2[j_idx, mc_config.pf_axis]
-        deposit = _depositor(np.asarray(edges), p_i, params, mc_config.smear)
     by_level = {}
     for c in channels:
         by_level.setdefault((c.k, c.l), []).append(c)
+    levels = sorted(by_level)
+    common = {lv: math.lcm(*(c.stat_weight.denominator for c in chans))
+              for lv, chans in by_level.items()}
+    contrib = {lv: np.empty(npairs) for lv in levels}
+    edges, axis = mc_config.pf_bins, mc_config.pf_axis
+    chunk = _CHUNK
+    if edges is not None:
+        edges = np.asarray(edges)
+        if mc_config.smear and len(edges) == 2:
+            # numpy sums one column pairwise, not row by row: deposit it whole
+            chunk = npairs
+        sums = {}
+    for lo in range(0, npairs, chunk):
+        hi = min(lo + chunk, npairs)
+        i_idx, j_idx = np.divmod(np.arange(lo, hi) if flat is None else flat[lo:hi], n2)
+        probs = p_kl_batch(levels, r1[i_idx] - r2[j_idx], 0.5 * (p1[i_idx] - p2[j_idx]), params)
+        pair_w = w1[i_idx] * w2[j_idx]
+        for lv in levels:
+            contrib[lv][lo:hi] = pair_w * probs[lv]
+        if edges is not None:
+            _deposit(sums, {lv: scale * contrib[lv][lo:hi] / common[lv] for lv in levels},
+                     p1[i_idx, axis] + p2[j_idx, axis], edges, params, mc_config.smear)
+
+    report = {}
+    spectra = {}
     for level, chans in by_level.items():
-        common = math.lcm(*(c.stat_weight.denominator for c in chans))
-        contrib = pair_w * probs[level]
-        base = scale * float(np.sum(contrib))
-        unit = base / common
+        unit = scale * float(np.sum(contrib[level])) / common[level]
         if mode == "sampled":
-            sd = float(np.std(contrib, ddof=1)) if npairs > 1 else 0.0
-            unit_err = scale * sd * math.sqrt(npairs) / common
+            sd = float(np.std(contrib[level], ddof=1)) if npairs > 1 else 0.0
+            unit_err = scale * sd * math.sqrt(npairs) / common[level]
         else:
             unit_err = 0.0
         if edges is not None:
-            unit_dens = deposit(scale * contrib / common)
+            unit_dens = sums[level] / np.diff(edges)
         for c in chans:
-            num = int(c.stat_weight * common)
+            num = int(c.stat_weight * common[level])
             report[c.name] = ChannelYield(num * unit, num * unit_err)
             if edges is not None:
-                spectra[c.name] = {"edges": list(edges), "values": (num * unit_dens).tolist()}
+                spectra[c.name] = {"edges": edges.tolist(), "values": (num * unit_dens).tolist()}
     ordered = {c.name: report[c.name] for c in channels}
     return YieldReport(
         channels=ordered,
@@ -412,32 +442,37 @@ def pair_yields(species1, species2, channels, params, mc_config):
     )
 
 
-def _depositor(edges, centers, params, smear):
-    """The function taking per-pair masses to bin densities dN/dP.
+def _deposit(sums, masses, centers, edges, params, smear):
+    """Add one chunk of per-pair masses, spread over the bins, to the bin sums.
 
-    How each pair at `centers` spreads over the bins is computed once, here,
-    and shared by every mass array the function is called with.
+    `masses` maps each key to the masses of the chunk's pairs, whose
+    centroid momenta are `centers`; `sums` maps the key to its bin sums over
+    the earlier chunks and gets the new sums (a key it lacks starts here).
+    Each bin adds its pairs in order, as one pass over all pairs does: a
+    sharp deposit by `np.add.at`, a smeared one by summing [sums; rows]
+    down axis 0, which numpy does row by row for two or more bins.
     """
-    widths = np.diff(edges)
-    if smear:
-        # imported here, so that runs without smearing never load scipy
-        from scipy.special import erf
+    nbins = len(edges) - 1
+    if not smear:
+        idx = np.searchsorted(edges, centers, side="right") - 1
+        ok = (idx >= 0) & (idx < nbins)
+        for key, m in masses.items():
+            np.add.at(sums.setdefault(key, np.zeros(nbins)), idx[ok], m[ok])
+        return
+    # imported here, so that runs without smearing never load scipy
+    from scipy.special import erf
 
-        d, hbar = params.delta, params.hbar
-        # per-axis marginal of J integrates to erf differences across edges
-        cdf = 0.5 * (1.0 + erf((edges[None, :] - centers[:, None]) * (d / hbar)))
-        share = np.diff(cdf, axis=1)
-        return lambda masses: (masses[:, None] * share).sum(axis=0) / widths
-    idx = np.searchsorted(edges, centers, side="right") - 1
-    ok = (idx >= 0) & (idx < len(widths))
-    idx = idx[ok]
-
-    def sharp(masses):
-        counts = np.zeros(len(widths))
-        np.add.at(counts, idx, masses[ok])
-        return counts / widths
-
-    return sharp
+    n = len(centers)
+    buf = np.empty((n + 1, nbins))
+    # per-axis marginal of J integrates to erf differences across edges
+    share = np.diff(0.5 * (1.0 + erf((edges[None, :] - centers[:, None])
+                                     * (params.delta / params.hbar))), axis=1)
+    for key, m in masses.items():
+        rows = np.multiply(m[:, None], share, out=buf[1 : n + 1])
+        if key in sums:
+            buf[0] = sums[key]
+            rows = buf[: n + 1]
+        sums[key] = rows.sum(axis=0)
 
 
 def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
@@ -459,5 +494,7 @@ def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
     _, r2, p2, w2 = _species_arrays([b for _, b in pairs])
     level = (channel.k, channel.l)
     probs = p_kl_batch([level], r1 - r2, 0.5 * (p1 - p2), params)[level]
-    masses = w1 * w2 * float(channel.stat_weight) * probs
-    return edges, _depositor(edges, p1[:, axis] + p2[:, axis], params, smear)(masses)
+    sums = {}
+    _deposit(sums, {level: w1 * w2 * float(channel.stat_weight) * probs},
+             p1[:, axis] + p2[:, axis], edges, params, smear)
+    return edges, sums[level] / np.diff(edges)

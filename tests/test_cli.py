@@ -595,6 +595,42 @@ class TestParamHandling:
         assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, scale",
+        [(["prob", "--nu", "1e-200"], "nu^2"),
+         (["wigner", "--k", "0", "--l", "1", "--nu", "1e200", "--grid", "r:0:4:3,q:0:4:3"], "nu^2"),
+         (["figures", "3", "--zeta", "1e300"], "zeta^4"),
+         (["wigner", "--k", "0", "--l", "1", "--hbar", "1e-300", "--grid", "r:0:4:3,q:0:4:3"],
+          "(hbar nu)^2"),
+         (["yields", '{"nu": 1e-200, "delta": 0.5}'], "nu^2")],
+        ids=["prob-tiny-nu", "wigner-huge-nu", "figures-huge-zeta", "wigner-tiny-hbar",
+             "yields-sidecar-tiny-nu"],
+    )
+    def test_extreme_scales_fail_early(self, argv, scale, tmp_path, capsys):
+        # each of these used to write nan rows or end in an OverflowError
+        out = tmp_path / "out"
+        if argv[0] == "yields":
+            sidecar = tmp_path / "p.json"
+            sidecar.write_text(argv[1])
+            parts = tmp_path / "parts.csv"
+            parts.write_text("species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\ndbar,1,0,0,0,0,0\n")
+            argv = ["yields", "--particles", str(parts), "--params", str(sidecar)]
+        argv = argv + (["--outdir"] if argv[0] == "figures" else ["--out"]) + [str(out)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scale} = ") and "finite and nonzero" in err
+        assert not out.exists()
+
+    def test_far_points_write_without_warning(self, tmp_path):
+        # r r overflows to inf in v_and_t; RuntimeWarnings are errors in this suite
+        out = tmp_path / "far.csv"
+        argv = ["prob", "--k", "0", "--l", "1", "--grid", "r:0:1e200:3,p:0:1:3,theta:0"]
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        _, rows = read_prob_table(out)
+        far = [row for row in rows if row[2] == 1e200]
+        assert len(rows) == 9 and len(far) == 3
+        assert all(v == math.inf and t == 0.0 and prob == 0.0 for *_, v, t, prob in far)
+
 
 class TestColdStart:
     def test_runs_without_smearing_never_import_scipy(self, tmp_path):

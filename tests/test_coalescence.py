@@ -256,6 +256,20 @@ class TestPKl:
         for lv in LEVELS_N12:
             assert batch[lv].tolist() == [0.0] * len(rel_r), lv
 
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 2.0, 4.0])
+    def test_zeta_exchange(self, zeta, rng):
+        # Swapping the roles of rho = nu r and pi~ = p/(nu hbar) maps zeta to 1/zeta:
+        # P_kl(r, p; zeta) = P_kl(p/(nu^2 hbar), nu^2 hbar r; 1/zeta)
+        nu, hbar = 1.3, 0.9
+        rel_r = rng.uniform(-2, 2, (2000, 3)) / nu
+        rel_p = rng.uniform(-2, 2, (2000, 3)) * nu * hbar
+        direct = p_kl_batch(LEVELS_N12, rel_r, rel_p, OscParams.from_zeta(nu, zeta, hbar))
+        swapped = p_kl_batch(LEVELS_N12, rel_p / (nu * nu * hbar), nu * nu * hbar * rel_r,
+                             OscParams.from_zeta(nu, 1.0 / zeta, hbar))
+        assert len(LEVELS_N12) == 49
+        for lv in LEVELS_N12:
+            assert np.max(np.abs(direct[lv] - swapped[lv])) <= 4e-15, lv
+
     def test_batch_builds_no_coefficient_matrix(self, rng, monkeypatch):
         def refuse(k, l):
             raise AssertionError(f"coefficient matrix of ({k}, {l}) requested")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ class TestOscParams:
             with pytest.raises(ValueError, match="positive and finite"):
                 OscParams.from_zeta(nu, zeta)
 
+
+    @pytest.mark.parametrize(
+        "kwargs, scale",
+        [(dict(nu=1e-200, delta=0.5), "nu^2"), (dict(nu=1e-160, delta=0.5), "nu^2"),
+         (dict(nu=1e200, delta=1e-200), "nu^2"), (dict(nu=1.0, delta=0.5, hbar=1e-300), "(hbar nu)^2"),
+         (dict(nu=1e100, delta=1e-100, hbar=1e100), "(hbar nu)^2"),
+         (dict(nu=1.0, delta=1e80), "zeta^4"), (dict(nu=1.0, delta=1e-80), "zeta^4")],
+        ids=["nu-underflows", "nu-reciprocal-overflows", "nu-overflows", "hbar-nu-underflows",
+             "hbar-nu-overflows", "zeta-overflows", "zeta-underflows"],
+    )
+    def test_rejects_scales_out_of_range(self, kwargs, scale):
+        with pytest.raises(ValueError, match=re.escape(f"{scale} = ") + ".*finite and nonzero"):
+            OscParams(**kwargs)
+
+    def test_accepts_scales_in_range(self):
+        for kwargs in (dict(nu=1e150, delta=1e-150), dict(nu=1e-150, delta=1e150, hbar=1e150),
+                       dict(nu=1.0, delta=1e76), dict(nu=1.0, delta=1e-76)):
+            OscParams(**kwargs)
 
 class TestPhiN:
     def test_ground_state_peak(self, params):

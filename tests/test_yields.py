@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -382,6 +383,77 @@ class TestPairYields:
         u = [ParticleRecord("u", (0, 0, 0), (0, 0, 0))]
         with pytest.raises(ValueError, match="nonempty"):
             pair_yields(u, [], channel_table(), params, MCConfig(seed=0))
+
+
+class TestStreaming:
+    """Pairs go through `pair_yields` in chunks of `yields._CHUNK`; no sum sees the chunking."""
+
+    CONFIGS = {
+        "exact": MCConfig(seed=4),
+        "exact-sharp": MCConfig(seed=4, pf_bins=tuple(np.linspace(-2, 2, 11)), pf_axis=0),
+        "exact-smeared": MCConfig(seed=4, pf_bins=tuple(np.linspace(-2, 2, 11)), smear=True),
+        "sampled-sharp": MCConfig(seed=4, max_pairs=300, pf_bins=tuple(np.linspace(-2, 2, 11))),
+        "sampled-smeared": MCConfig(seed=4, max_pairs=300, pf_bins=tuple(np.linspace(-2, 2, 7)),
+                                    smear=True),
+        # numpy sums a single column pairwise, which row-by-row chunks would not match
+        "one-bin-smeared": MCConfig(seed=4, pf_bins=(-1.0, 1.5), smear=True),
+        "two-bin-smeared": MCConfig(seed=4, pf_bins=(-1.0, 0.0, 1.5), smear=True),
+    }
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("weights", ["random", "negative-zero"])
+    def test_chunk_size_invariance(self, params, rng, monkeypatch, config, weights):
+        us, ds = random_ensembles(rng, 20, 25)
+        if weights == "negative-zero":
+            # every mass is -0.0: the sums must keep the sign of one pass over all pairs
+            us = [ParticleRecord(r.species, r.r, r.p, -0.0) for r in us]
+        cfg = self.CONFIGS[config]
+        reports = {}
+        for chunk in (1, 3, 10_000):
+            monkeypatch.setattr(yields, "_CHUNK", chunk)
+            rep = pair_yields(us, ds, channel_table(), params, cfg)
+            reports[chunk] = json.dumps(rep.to_json_dict())
+        assert reports[1] == reports[3] == reports[10_000]
+        assert rep.mc["pairs"] == (500 if cfg.max_pairs > 500 else 300)
+
+    @pytest.mark.parametrize("edges", [np.linspace(-2, 2, 9), np.array([-1.0, 1.5])],
+                             ids=["eight-bins", "one-bin"])
+    def test_one_pass_sums(self, params, rng, monkeypatch, edges):
+        # the sums of one unchunked pass: numpy pairwise sums for the yields, an
+        # axis-0 sum for the smeared spectrum (row by row, or pairwise for one bin)
+        us, ds = random_ensembles(rng, 20, 25)
+        monkeypatch.setattr(yields, "_CHUNK", 7)
+        rep = pair_yields(us, ds, channel_table(), params,
+                          MCConfig(pf_bins=tuple(edges), smear=True, pf_axis=1))
+        pairs = [(a, b) for a in us for b in ds]
+        rel_r = np.array([[x - y for x, y in zip(a.r, b.r)] for a, b in pairs])
+        rel_p = np.array([[0.5 * (x - y) for x, y in zip(a.p, b.p)] for a, b in pairs])
+        contrib = (np.array([a.weight * b.weight for a, b in pairs])
+                   * p_kl_batch([(0, 1)], rel_r, rel_p, params)[(0, 1)])
+        # the (0, 1) channels are multiples of a unit with the common denominator 108
+        assert rep.channels["b1+"].value == 3 * (float(np.sum(contrib)) / 108)
+        centers = np.array([a.p[1] + b.p[1] for a, b in pairs])
+        cdf = 0.5 * (1.0 + erf((edges[None, :] - centers[:, None]) * (params.delta / params.hbar)))
+        masses = contrib / 108
+        dens = (masses[:, None] * np.diff(cdf, axis=1)).sum(axis=0) / np.diff(edges)
+        assert rep.spectra["a0+"]["values"] == dens.tolist()
+        assert rep.spectra["a2+"]["values"] == (5 * dens).tolist()
+
+    def test_smeared_deposit_memory_bounded(self, params):
+        # 90000 pairs x 160 bins: one (pairs x bins) float64 array alone is 115 MB
+        gen = np.random.default_rng(7)
+        tables = [yields.ParticleTable(np.full(300, tag), gen.normal(0, 1.5, (300, 3)),
+                                       gen.normal(0, 1, (300, 3)), np.ones(300))
+                  for tag in ("u", "dbar")]
+        cfg = MCConfig(pf_bins=tuple(np.linspace(-10, 10, 161)), smear=True)
+        tracemalloc.start()
+        try:
+            rep = pair_yields(*tables, channel_table(), params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mc["pairs"] == 90_000
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSpectrum:
