@@ -24,15 +24,18 @@ deterministic).  Channel yields and spectra within one (k, l) level are
 integer multiples of a shared scaled base sum and base spectrum, so ratios
 fixed by the statistical weights (pi+ : rho+ = 1 : 3) hold exactly.
 
-Pairs stream through `pair_yields` in chunks of `_CHUNK`: each chunk builds
-its relative coordinates, evaluates `p_kl_batch` and deposits its spectra,
-so the (chunk x bins) arrays of a smeared deposit stay a few MB.  What grows
-with the number of pairs is one float per pair and level, w1 w2 P_kl, which
-the yield sums and standard errors need whole, and in sampled mode the
-drawn pair indices.  Bins add their pairs in pair order, chunk after chunk,
-so the report is the same bytes for every chunk size.  The one exception is
-a smeared spectrum of a single bin: numpy sums one column pairwise, so it is
-deposited in one chunk of all pairs.
+Pairs stream through `pair_yields` along the tree of numpy's pairwise
+summation (`_pairwise`): the pair range splits where `np.sum` would split an
+array of one value per pair, down to leaves of at most `_CHUNK` pairs.  Each
+leaf builds its relative coordinates, evaluates `p_kl_batch`, deposits its
+spectra and returns the sums of its w1 w2 P_kl per level, and the walk adds
+those up the tree, so every yield is bit for bit the `np.sum` over all pairs
+and the (leaf x bins) arrays of a smeared deposit stay a few MB.  Exact mode
+holds nothing per pair; sampled mode holds one float per pair and level,
+which the standard error (`np.std`) takes whole, and the drawn pair indices.
+Spectrum bins add their pairs in pair order, leaf after leaf; a single
+smeared bin, which numpy sums pairwise, adds up the tree like the yields.
+So the report is the same bytes for every `_CHUNK`.
 """
 
 import csv
@@ -195,10 +198,15 @@ _HEADER = ["species", "rx", "ry", "rz", "px", "py", "pz"]
 # Lines converted at a time: bounds the text held in memory.
 _BLOCK = 16384
 
-# Pairs per chunk of `pair_yields`: bounds the (chunk x bins) arrays of a
+# Most pairs per leaf of `pair_yields`: bounds the (leaf x bins) arrays of a
 # smeared deposit, near 5 MB each at 160 bins.  Measured against 8192 and
 # 16384: those were no faster on the smeared path and raised its peak.
 _CHUNK = 4096
+
+# numpy adds a contiguous float64 array by pairwise summation: a range of more
+# than this many elements splits at half its length, rounded down to a
+# multiple of 8, and a range of at most this many is summed as one block.
+_PAIRWISE_BLOCK = 128
 
 
 def _parse_particles(fh):
@@ -361,11 +369,12 @@ def pair_yields(species1, species2, channels, params, mc_config):
     report also carries per-channel standard errors (zero when enumerating)
     and, when mc_config.pf_bins is set, final-momentum spectra.
 
-    Pairs are built, evaluated and deposited `_CHUNK` at a time; what
-    outlives a chunk is one float per pair and level (w1 w2 P_kl) and, in
-    sampled mode, the drawn pair indices.  Every sum adds the pairs in the
-    same order as one pass over all of them, so the report does not depend
-    on the chunk size.
+    Pairs are built, evaluated and deposited a leaf of at most `_CHUNK` at a
+    time, along the tree of numpy's pairwise summation (`_pairwise`).  Exact
+    mode keeps nothing per pair; sampled mode keeps one float per pair and
+    level (w1 w2 P_kl, for the standard error) and the drawn pair indices.
+    Every sum adds the pairs as one `np.sum` or one pass over all of them
+    does, so the report does not depend on `_CHUNK`.
     """
     if not species1 or not species2:
         raise ValueError("both species lists must be nonempty")
@@ -398,30 +407,54 @@ def pair_yields(species1, species2, channels, params, mc_config):
     levels = sorted(by_level)
     common = {lv: math.lcm(*(c.stat_weight.denominator for c in chans))
               for lv, chans in by_level.items()}
-    contrib = {lv: np.empty(npairs) for lv in levels}
     edges, axis = mc_config.pf_bins, mc_config.pf_axis
-    chunk = _CHUNK
     if edges is not None:
         edges = np.asarray(edges)
-        if mc_config.smear and len(edges) == 2:
-            # numpy sums one column pairwise, not row by row: deposit it whole
-            chunk = npairs
-        sums = {}
-    for lo in range(0, npairs, chunk):
-        hi = min(lo + chunk, npairs)
-        i_idx, j_idx = np.divmod(np.arange(lo, hi) if flat is None else flat[lo:hi], n2)
-        probs = p_kl_batch(levels, r1[i_idx] - r2[j_idx], 0.5 * (p1[i_idx] - p2[j_idx]), params)
+    # numpy sums the column of a single smeared bin pairwise: it adds up the tree
+    column = edges is not None and mc_config.smear and len(edges) == 2
+    sums = {}
+    # One leaf's arrays, allocated once per call: w1 w2 P_kl per level (in
+    # sampled mode every pair's, which the stderr needs), its masses, the
+    # pair indices and the relative coordinates.
+    width = max(_CHUNK, _PAIRWISE_BLOCK)
+    contrib = {lv: np.empty(width if flat is None else npairs) for lv in levels}
+    mass_buf = np.empty((len(levels), width))
+    index = np.empty((2, width), dtype=np.intp)
+    coords = np.empty((3, width, 3))
+
+    def leaf(lo, hi):
+        n = hi - lo
+        i_idx, j_idx = np.divmod(np.arange(lo, hi) if flat is None else flat[lo:hi], n2,
+                                 out=tuple(index[:, :n]))
+        # the indices are in range: with mode "clip", `take` writes straight to `out`
+        rel_r, rel_p, other = coords[:, :n]
+        np.subtract(r1.take(i_idx, 0, rel_r, "clip"), r2.take(j_idx, 0, other, "clip"), out=rel_r)
+        np.subtract(p1.take(i_idx, 0, rel_p, "clip"), p2.take(j_idx, 0, other, "clip"), out=rel_p)
+        rel_p *= 0.5
+        probs = p_kl_batch(levels, rel_r, rel_p, params)
         pair_w = w1[i_idx] * w2[j_idx]
-        for lv in levels:
-            contrib[lv][lo:hi] = pair_w * probs[lv]
+        rows = slice(0, n) if flat is None else slice(lo, hi)
+        masses = [np.multiply(pair_w, probs[lv], out=contrib[lv][rows]) for lv in levels]
+        leaf_sums = [np.sum(m) for m in masses]
         if edges is not None:
-            _deposit(sums, {lv: scale * contrib[lv][lo:hi] / common[lv] for lv in levels},
-                     p1[i_idx, axis] + p2[j_idx, axis], edges, params, mc_config.smear)
+            part = {} if column else sums
+            scaled = {lv: np.divide(np.multiply(scale, m, out=buf[:n]), common[lv], out=buf[:n])
+                      for lv, m, buf in zip(levels, masses, mass_buf)}
+            _deposit(part, scaled, p1[i_idx, axis] + p2[j_idx, axis], edges, params,
+                     mc_config.smear)
+            if column:
+                leaf_sums += [part[lv][0] for lv in levels]
+        return np.array(leaf_sums)
+
+    # per level: the sum of w1 w2 P_kl, then the single smeared bin's sum
+    totals = dict(zip(levels, _pairwise(leaf, npairs, _CHUNK).reshape(-1, len(levels)).T))
+    if column:
+        sums = {lv: t[1:] for lv, t in totals.items()}
 
     report = {}
     spectra = {}
     for level, chans in by_level.items():
-        unit = scale * float(np.sum(contrib[level])) / common[level]
+        unit = scale * float(totals[level][0]) / common[level]
         if mode == "sampled":
             sd = float(np.std(contrib[level], ddof=1)) if npairs > 1 else 0.0
             unit_err = scale * sd * math.sqrt(npairs) / common[level]
@@ -442,6 +475,30 @@ def pair_yields(species1, species2, channels, params, mc_config):
     )
 
 
+def _pairwise(leaf, n, limit):
+    """The sums of `leaf` over [0, n), added as `np.sum` adds the elements.
+
+    `leaf(lo, hi)` returns an array of sums (by `np.sum`) over the range
+    [lo, hi) of some per-element arrays.  The walk splits [0, n) where
+    numpy's pairwise summation splits it until a range holds at most
+    max(`limit`, 128) elements, calls `leaf` on those ranges in order and
+    adds the two halves of every split, so each sum is bit for bit the
+    `np.sum` of the whole per-element array.  That holds for the sign of a
+    zero too: numpy starts a sum at +0.0, so no leaf sum and no total is
+    -0.0.
+    """
+    limit = max(limit, _PAIRWISE_BLOCK)
+
+    def walk(lo, hi):
+        if hi - lo <= limit:
+            return leaf(lo, hi)
+        half = (hi - lo) // 2
+        half -= half % 8
+        return walk(lo, lo + half) + walk(lo + half, hi)
+
+    return walk(0, n)
+
+
 def _deposit(sums, masses, centers, edges, params, smear):
     """Add one chunk of per-pair masses, spread over the bins, to the bin sums.
 
@@ -450,7 +507,9 @@ def _deposit(sums, masses, centers, edges, params, smear):
     the earlier chunks and gets the new sums (a key it lacks starts here).
     Each bin adds its pairs in order, as one pass over all pairs does: a
     sharp deposit by `np.add.at`, a smeared one by summing [sums; rows]
-    down axis 0, which numpy does row by row for two or more bins.
+    down axis 0, which numpy does row by row for two or more bins.  numpy
+    sums the column of a single bin pairwise, so `pair_yields` deposits
+    each leaf of its tree into an empty `sums` for it.
     """
     nbins = len(edges) - 1
     if not smear:

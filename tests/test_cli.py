@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,17 @@ class TestProbCommand:
             rel = PhasePoint.from_invariants(r, p, th)
             assert prob == p_kl(k, l, rel, params)
             assert (v, t) == v_and_t(rel.r_vec, rel.p_vec, params)
+
+    def test_default_table_memory_bounded(self, tmp_path):
+        # 28830 rows: their text formatted in one block takes about 16 MB
+        tracemalloc.start()
+        try:
+            code = main(["prob", "--zeta", "2.0", "--out", str(tmp_path / "p.dat")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"

@@ -386,7 +386,7 @@ class TestPairYields:
 
 
 class TestStreaming:
-    """Pairs go through `pair_yields` in chunks of `yields._CHUNK`; no sum sees the chunking."""
+    """Pairs go through `pair_yields` in leaves of at most `yields._CHUNK`; no sum sees them."""
 
     CONFIGS = {
         "exact": MCConfig(seed=4),
@@ -403,18 +403,20 @@ class TestStreaming:
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("weights", ["random", "negative-zero"])
     def test_chunk_size_invariance(self, params, rng, monkeypatch, config, weights):
-        us, ds = random_ensembles(rng, 20, 25)
-        if weights == "negative-zero":
-            # every mass is -0.0: the sums must keep the sign of one pass over all pairs
-            us = [ParticleRecord(r.species, r.r, r.p, -0.0) for r in us]
         cfg = self.CONFIGS[config]
-        reports = {}
-        for chunk in (1, 3, 10_000):
-            monkeypatch.setattr(yields, "_CHUNK", chunk)
-            rep = pair_yields(us, ds, channel_table(), params, cfg)
-            reports[chunk] = json.dumps(rep.to_json_dict())
-        assert reports[1] == reports[3] == reports[10_000]
-        assert rep.mc["pairs"] == (500 if cfg.max_pairs > 500 else 300)
+        # 500 pairs, and 5600, whose tree of leaves of 128 pairs is six levels deep
+        for n1, n2 in ((20, 25), (70, 80)):
+            us, ds = random_ensembles(rng, n1, n2)
+            if weights == "negative-zero":
+                # every mass is -0.0: the sums must keep the sign of one pass over all pairs
+                us = [ParticleRecord(r.species, r.r, r.p, -0.0) for r in us]
+            reports = {}
+            for chunk in (1, 3, 7, 1000, 10_000):
+                monkeypatch.setattr(yields, "_CHUNK", chunk)
+                rep = pair_yields(us, ds, channel_table(), params, cfg)
+                reports[chunk] = json.dumps(rep.to_json_dict())
+            assert len(set(reports.values())) == 1
+            assert rep.mc["pairs"] == min(n1 * n2, cfg.max_pairs)
 
     @pytest.mark.parametrize("edges", [np.linspace(-2, 2, 9), np.array([-1.0, 1.5])],
                              ids=["eight-bins", "one-bin"])
@@ -454,6 +456,60 @@ class TestStreaming:
             tracemalloc.stop()
         assert rep.mc["pairs"] == 90_000
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_exact_yields_memory_bounded(self, params):
+        # 1e6 exact pairs: one float per pair and level alone would be 24 MB
+        gen = np.random.default_rng(8)
+        tables = [yields.ParticleTable(np.full(1000, tag), gen.normal(0, 1.5, (1000, 3)),
+                                       gen.normal(0, 1, (1000, 3)), np.ones(1000))
+                  for tag in ("u", "dbar")]
+        cfg = MCConfig(pf_bins=tuple(np.linspace(-10, 10, 161)))
+        tracemalloc.start()
+        try:
+            rep = pair_yields(*tables, channel_table(), params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mc == {"seed": 0, "pairs": 1_000_000, "mode": "exact"}
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestPairwiseWalk:
+    """`yields._pairwise` adds leaf sums as numpy's pairwise `np.sum` adds the elements.
+
+    This pins what the walk assumes of numpy: a range of more than 128
+    elements splits at half its length rounded down to a multiple of 8, and
+    the reduction starts at +0.0.
+    """
+
+    LENGTHS = sorted({*range(1, 301), *range(4090, 4111),
+                      *(2**k + d for k in range(1, 21) for d in (-1, 1))})
+
+    @pytest.mark.parametrize("limit", [1, 7, 128, 4096])
+    def test_equals_np_sum_bitwise(self, limit):
+        gen = np.random.default_rng(limit)
+        n_max = max(self.LENGTHS)
+        signs = gen.choice([-1.0, 1.0], size=n_max)
+        data = np.stack([
+            gen.normal(size=n_max),
+            signs * 10.0 ** gen.uniform(-300, 300, n_max),
+            np.full(n_max, -0.0),
+        ])
+        for n in self.LENGTHS:
+            arrays = data[:, :n]
+            calls = []
+
+            def leaf(lo, hi):
+                calls.append((lo, hi))
+                return np.array([np.sum(a[lo:hi]) for a in arrays])
+
+            got = yields._pairwise(leaf, n, limit)
+            want = np.array([np.sum(a) for a in arrays])
+            assert got.tobytes() == want.tobytes(), n
+            # the leaves tile [0, n) in order, each within the limit
+            assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
+            assert calls[-1][1] == n
+            assert max(hi - lo for lo, hi in calls) <= max(limit, 128)
 
 
 class TestSpectrum:
