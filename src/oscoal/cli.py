@@ -282,10 +282,15 @@ def cmd_prob(args):
 
 
 def _pf_edges(spec):
-    """Bin edges of a `--pf-bins lo:hi:nbins` spec; MCConfig checks the range."""
+    """Bin edges of a `--pf-bins lo:hi:nbins` spec; MCConfig checks the range.
+
+    The bin count is checked first, as 8 channel spectra of nbins values.
+    """
     try:
         lo, hi, n = spec.split(":")
-        return tuple(np.linspace(float(lo), float(hi), int(n) + 1))
+        lo, hi, n = float(lo), float(hi), int(n)
+        _check_rows(len(channel_table()) * n, "the channel spectra of --pf-bins")
+        return tuple(np.linspace(lo, hi, n + 1))
     except ValueError:
         raise _UsageError(f"--pf-bins expects lo:hi:nbins, got {spec!r}") from None
 

@@ -370,12 +370,12 @@ def _check_wigner3d_oracle():
             pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             md = max(md, abs(wigner3d.wigner_kl(k, l, pt, params)
                              - wigner3d.wigner_kl_oracle(k, l, pt, params)))
-    # normalization of the derived polynomials: the exact moment identity for
-    # N <= 4, the independent float quadrature for N <= 3
-    low = [wigner3d.derive_invariant_poly(k, l) for k, l in wigner3d.CLOSED_FORM_STATES]
-    shell4 = [wigner3d.derive_invariant_poly(k, l) for k, l in coalescence.shell_states(4)]
-    exact_ok = all(wigner3d._normalization_exact(p) == 1 for p in low + shell4)
-    md_norm = max(abs(wigner3d._normalization_quadrature(p) - 1.0) for p in low)
+    # normalization: the exact moment sum for every level the CLI accepts
+    # (N <= 12), the float quadrature of the evaluator for N <= 3
+    exact_ok = all(wigner3d._normalization_exact(k, l) == 1
+                   for N in range(13) for k, l in coalescence.shell_states(N))
+    md_norm = max(abs(wigner3d._normalization_quadrature(k, l) - 1.0)
+                  for k, l in wigner3d.CLOSED_FORM_STATES)
     ok = exact_ok and md <= 1e-8 and md_norm <= 1e-8
     return CheckResult("3-D Wigner transform oracle and normalization",
                        ok, max(md, md_norm), 1e-8)

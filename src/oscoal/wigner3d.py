@@ -28,10 +28,11 @@ levels with N <= 12 derive in about 0.04 s on a 2-vCPU VM.
 `wigner_kl_closed` and `export_grid` evaluate each T^j coefficient in the
 Laguerre basis L_n^(2+2j)(2E): for r, q in [0, 4], pi^3 hbar^3 W is within
 2e-15 of exact values at the same float E and T for N <= 9, and within
-3.1e-14 at N = 12.  The phase-space integral of each derived polynomial is
-1 exactly (`_normalization_exact`).  Two terms of the commonly tabulated
-printed forms for the (0,3) and (1,1) states fail the mirror symmetry; the
-derivation fixes both (see `REFERENCE_TABULATION_NOTES`).
+3.1e-14 at N = 12.  Each W_kl integrates to 1, exactly by the W_00 moments
+of E^i T^j (`_normalization_exact`) and by quadrature of that evaluator.
+Two terms of the commonly tabulated printed forms for the (0,3) and (1,1)
+states, audited in (a, b, c), fail the mirror symmetry; the derivation
+fixes both (see `REFERENCE_TABULATION_NOTES`).
 """
 
 import math
@@ -106,12 +107,6 @@ def wigner_kl(k, l, pt, params):
 # ---------------------------------------------------------------------------
 # Exact derivation of the invariant polynomials W_kl / W_00.
 
-def _invariant_basis(N):
-    """Monomials a^i b^j c^h of degree 2(i + j) + 4h <= 2N, in a fixed order."""
-    return [(i, j, h) for h in range(N // 2 + 1) for i in range(N - 2 * h + 1)
-            for j in range(N - 2 * h - i + 1)]
-
-
 def _husimi_input(k, l):
     """p = e^v P_kl at zeta = 1, exactly, as {(i, j): Fraction} for E^i T^j.
 
@@ -174,15 +169,12 @@ def _to_abc(poly):
 
 @lru_cache(maxsize=None)
 def derive_invariant_poly(k, l):
-    """Exact polynomial P with W_kl = W_00 * P(a, b, c).
+    """Exact P with W_kl = W_00 * P(a, b, c), as {(i, j, h): Fraction} for a^i b^j c^h.
 
-    Derived in the invariants E = a + b and T = ab - c by the inverse heat
-    flow of the zeta = 1 coalescence probability (`_derive_et`), then
-    expanded.  Returns {(i, j, h): Fraction} for a^i b^j c^h, in
-    `_invariant_basis` order.
+    `_derive_et` expanded for the printed-tabulation audit; the order of the
+    keys is not part of the contract.
     """
-    poly = _to_abc(_derive_et(k, l))
-    return {key: poly[key] for key in _invariant_basis(2 * k + l) if key in poly}
+    return _to_abc(_derive_et(k, l))
 
 
 def _shell_trace_residue(N):
@@ -376,41 +368,34 @@ def wigner_kl_oracle(k, l, pt, params):
 
 
 # ---------------------------------------------------------------------------
-# Phase-space integral of W_00 * P(a, b, c), exact and by quadrature.
+# Phase-space integral of W_kl, exact and by quadrature.
 
-def _normalization_exact(poly):
-    """Int d^3r d^3q W_00 P(a, b, c) as an exact Fraction (1 for every W_kl).
+def _normalization_exact(k, l):
+    """Int d^3r d^3q W_kl as an exact Fraction, from `_derive_et` (1 for every level).
 
-    W_00 makes xi and eta independent N(0, I/2).  With eta = u xi/|xi| +
-    eta_perp, a^i b^j c^h = |xi|^{2(i+h)} u^{2h} (u^2 + |eta_perp|^2)^j, and
-    E|xi|^{2n} = (2n+1)!!/2^n, E u^{2n} = (2n-1)!!/2^n, E|eta_perp|^{2n} = n!.
+    W_00 makes xi and eta independent N(0, I/2): |xi|^{2n} has the mean
+    (2n+1)!!/2^n, and the cosine u of their angle is uniform, so (1 - u^2)^j
+    has the mean 4^j (j!)^2/(2j+1)!.  With T = |xi|^2 |eta|^2 (1 - u^2), the
+    mean of E^i T^j is (j!)^2/((2j+1)! 2^i) sum_p C(i, p) (2p+2j+1)!! (2i-2p+2j+1)!!.
     """
-    def moment(n, shift):
-        return Fraction(double_factorial(2 * n + shift), 2**n)
-
-    total = Fraction(0)
-    for (i, j, h), cf in poly.items():
-        eta = sum(math.comb(j, s) * moment(h + s, -1) * math.factorial(j - s) for s in range(j + 1))
-        total += cf * moment(i + h, 1) * eta
-    return total
+    return sum(cf * Fraction(math.factorial(j) ** 2, math.factorial(2 * j + 1) * 2**i)
+               * sum(math.comb(i, p) * double_factorial(2 * (p + j) + 1)
+                     * double_factorial(2 * (i - p + j) + 1) for p in range(i + 1))
+               for (i, j), cf in _derive_et(k, l).items())
 
 
-def _eval_invariant_poly(poly, a, b, c):
-    """P(a, b, c) in float monomials; `_normalization_quadrature`'s own evaluation."""
-    return sum(float(cf) * a**i * b**j * c**h for (i, j, h), cf in poly.items())
+def _normalization_quadrature(k, l):
+    """The same integral in floats: 6-node Gauss-Hermite quadrature of `_wigner_et`.
 
-
-def _normalization_quadrature(poly):
-    """The same integral in floats, by 6-node Gauss-Hermite quadrature.
-
-    Exact up to roundoff for degree <= 11 in each of the six reduced
-    variables, which covers every level with N <= 5.
+    The rule's weight is e^{-E}, so it integrates e^E W_kl at hbar = 1.  Exact
+    up to roundoff for degree <= 11 in each of the six reduced variables,
+    which covers every level with N <= 5.
     """
     tt, w3 = _gh_grid(6)
     a = np.sum(tt * tt, axis=1)
-    c = (tt @ tt.T) ** 2
-    vals = _eval_invariant_poly(poly, a[:, None], a[None, :], c)
-    return float(w3 @ vals @ w3) / math.pi**3
+    E = a[:, None] + a[None, :]
+    T = a[:, None] * a[None, :] - (tt @ tt.T) ** 2
+    return float(w3 @ (_wigner_et(k, l, E, T, 1.0) * np.exp(E)) @ w3)
 
 
 # ---------------------------------------------------------------------------

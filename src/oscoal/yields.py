@@ -29,10 +29,11 @@ summation (`_pairwise`): the pair range splits where `np.sum` would split an
 array of one value per pair, down to leaves of at most `_CHUNK` pairs.  Each
 leaf builds its relative coordinates, evaluates `p_kl_batch`, deposits its
 spectra and returns the sums of its w1 w2 P_kl per level, and the walk adds
-those up the tree, so every yield is bit for bit the `np.sum` over all pairs
-and the (leaf x bins) arrays of a smeared deposit stay a few MB.  Exact mode
-holds nothing per pair; sampled mode holds one float per pair and level,
-which the standard error (`np.std`) takes whole, and the drawn pair indices.
+those up the tree, so every yield is bit for bit the `np.sum` over all pairs.
+A smeared deposit takes its rows in blocks of at most `_DEPOSIT_CELLS`
+cells through one workspace per call.  Exact mode holds nothing per pair;
+sampled mode holds one float per pair and level, which the standard error
+(`np.std`) takes whole, and the drawn pair indices.
 Spectrum bins add their pairs in pair order, leaf after leaf; a single
 smeared bin, which numpy sums pairwise, adds up the tree like the yields.
 So the report is the same bytes for every `_CHUNK`.
@@ -198,10 +199,15 @@ _HEADER = ["species", "rx", "ry", "rz", "px", "py", "pz"]
 # Lines converted at a time: bounds the text held in memory.
 _BLOCK = 16384
 
-# Most pairs per leaf of `pair_yields`: bounds the (leaf x bins) arrays of a
-# smeared deposit, near 5 MB each at 160 bins.  Measured against 8192 and
-# 16384: those were no faster on the smeared path and raised its peak.
+# Most pairs per leaf of `pair_yields`: bounds its per-leaf arrays.  Measured
+# against 8192 and 16384: those were no faster on the smeared path and
+# raised its peak.
 _CHUNK = 4096
+
+# Most cells (rows x edges) of one block of a smeared deposit: bounds each
+# array of its workspace near 8 MB.  A leaf of `_CHUNK` pairs at up to 255
+# bins is one block.
+_DEPOSIT_CELLS = 1 << 20
 
 # numpy adds a contiguous float64 array by pairwise summation: a range of more
 # than this many elements splits at half its length, rounded down to a
@@ -410,13 +416,15 @@ def pair_yields(species1, species2, channels, params, mc_config):
     edges, axis = mc_config.pf_bins, mc_config.pf_axis
     if edges is not None:
         edges = np.asarray(edges)
+    smeared = edges is not None and mc_config.smear
     # numpy sums the column of a single smeared bin pairwise: it adds up the tree
-    column = edges is not None and mc_config.smear and len(edges) == 2
+    column = smeared and len(edges) == 2
     sums = {}
     # One leaf's arrays, allocated once per call: w1 w2 P_kl per level (in
     # sampled mode every pair's, which the stderr needs), its masses, the
-    # pair indices and the relative coordinates.
+    # pair indices, the relative coordinates and the smeared deposit's workspace.
     width = max(_CHUNK, _PAIRWISE_BLOCK)
+    work = _smear_workspace(width, len(edges) - 1) if smeared else None
     contrib = {lv: np.empty(width if flat is None else npairs) for lv in levels}
     mass_buf = np.empty((len(levels), width))
     index = np.empty((2, width), dtype=np.intp)
@@ -440,8 +448,7 @@ def pair_yields(species1, species2, channels, params, mc_config):
             part = {} if column else sums
             scaled = {lv: np.divide(np.multiply(scale, m, out=buf[:n]), common[lv], out=buf[:n])
                       for lv, m, buf in zip(levels, masses, mass_buf)}
-            _deposit(part, scaled, p1[i_idx, axis] + p2[j_idx, axis], edges, params,
-                     mc_config.smear)
+            _deposit(part, scaled, p1[i_idx, axis] + p2[j_idx, axis], edges, params, work)
             if column:
                 leaf_sums += [part[lv][0] for lv in levels]
         return np.array(leaf_sums)
@@ -499,20 +506,34 @@ def _pairwise(leaf, n, limit):
     return walk(0, n)
 
 
-def _deposit(sums, masses, centers, edges, params, smear):
+def _smear_workspace(rows, nbins):
+    """The arrays of a smeared deposit of up to `rows` pairs into `nbins` bins.
+
+    Sized for one block: at most `_DEPOSIT_CELLS` // (nbins + 1) rows, but
+    all `rows` for a single bin, whose column must not be split.  A block's
+    (rows x edges) CDF values and then its [sums; rows] share the scratch.
+    """
+    if nbins > 1:
+        rows = min(rows, max(1, _DEPOSIT_CELLS // (nbins + 1)))
+    return np.empty((rows + 1) * (nbins + 1)), np.empty((rows, nbins))
+
+
+def _deposit(sums, masses, centers, edges, params, work):
     """Add one chunk of per-pair masses, spread over the bins, to the bin sums.
 
     `masses` maps each key to the masses of the chunk's pairs, whose
     centroid momenta are `centers`; `sums` maps the key to its bin sums over
     the earlier chunks and gets the new sums (a key it lacks starts here).
+    `work` is None for a sharp deposit, and a smeared one's
+    `_smear_workspace`, whose rows the chunk goes through block by block.
     Each bin adds its pairs in order, as one pass over all pairs does: a
     sharp deposit by `np.add.at`, a smeared one by summing [sums; rows]
     down axis 0, which numpy does row by row for two or more bins.  numpy
-    sums the column of a single bin pairwise, so `pair_yields` deposits
-    each leaf of its tree into an empty `sums` for it.
+    sums the column of a single bin pairwise, so its chunk is one block,
+    and `pair_yields` deposits each leaf of its tree into an empty `sums`.
     """
     nbins = len(edges) - 1
-    if not smear:
+    if work is None:
         idx = np.searchsorted(edges, centers, side="right") - 1
         ok = (idx >= 0) & (idx < nbins)
         for key, m in masses.items():
@@ -521,17 +542,25 @@ def _deposit(sums, masses, centers, edges, params, smear):
     # imported here, so that runs without smearing never load scipy
     from scipy.special import erf
 
-    n = len(centers)
-    buf = np.empty((n + 1, nbins))
-    # per-axis marginal of J integrates to erf differences across edges
-    share = np.diff(0.5 * (1.0 + erf((edges[None, :] - centers[:, None])
-                                     * (params.delta / params.hbar))), axis=1)
-    for key, m in masses.items():
-        rows = np.multiply(m[:, None], share, out=buf[1 : n + 1])
-        if key in sums:
-            buf[0] = sums[key]
-            rows = buf[: n + 1]
-        sums[key] = rows.sum(axis=0)
+    scratch, share = work
+    for lo in range(0, len(centers), len(share)):
+        hi = min(lo + len(share), len(centers))
+        n = hi - lo
+        # per-axis marginal of J integrates to erf differences across edges
+        z = np.subtract(edges[None, :], centers[lo:hi, None],
+                        out=scratch[: n * (nbins + 1)].reshape(n, nbins + 1))
+        z *= params.delta / params.hbar
+        erf(z, out=z)
+        z += 1.0
+        z *= 0.5
+        np.subtract(z[:, 1:], z[:, :-1], out=share[:n])
+        buf = scratch[: (n + 1) * nbins].reshape(n + 1, nbins)
+        for key, m in masses.items():
+            rows = np.multiply(m[lo:hi, None], share[:n], out=buf[1 : n + 1])
+            if key in sums:
+                buf[0] = sums[key]
+                rows = buf[: n + 1]
+            sums[key] = rows.sum(axis=0)
 
 
 def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
@@ -543,7 +572,9 @@ def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
     with the Gaussian marginal of the overlap factor J, whose density profile
     is exp(-delta^2 (P - P_i)^2 / hbar^2).  Summed over wide enough bins the
     spectrum integrates back to the channel yield.  Edges and axis must pass
-    the checks of `MCConfig`.
+    the checks of `MCConfig`.  P_kl is evaluated for all pairs at once; a
+    smeared deposit takes them in row blocks through one workspace of at
+    most `_DEPOSIT_CELLS` cells per array, with the sums of one pass.
     """
     edges = np.array(MCConfig(pf_bins=pf_bin_edges, pf_axis=axis).pf_bins)
     pairs = list(pairs)
@@ -554,6 +585,7 @@ def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):
     level = (channel.k, channel.l)
     probs = p_kl_batch([level], r1 - r2, 0.5 * (p1 - p2), params)[level]
     sums = {}
+    work = _smear_workspace(len(pairs), len(edges) - 1) if smear else None
     _deposit(sums, {level: w1 * w2 * float(channel.stat_weight) * probs},
-             p1[:, axis] + p2[:, axis], edges, params, smear)
+             p1[:, axis] + p2[:, axis], edges, params, work)
     return edges, sums[level] / np.diff(edges)

@@ -91,11 +91,8 @@ def test_04_wigner3d_consistency(params):
                 md_oracle,
                 abs(wigner3d.wigner_kl(k, l, pt, params) - wigner3d.wigner_kl_oracle(k, l, pt, params)),
             )
-    # normalization by exact quadrature of the invariant polynomials
-    md_norm = max(
-        abs(wigner3d._normalization_quadrature(wigner3d.derive_invariant_poly(k, l)) - 1.0)
-        for k, l in CLOSED_FORM_STATES
-    )
+    # normalization by quadrature of the evaluator behind `wigner`, exact up to roundoff
+    md_norm = max(abs(wigner3d._normalization_quadrature(k, l) - 1.0) for k, l in CLOSED_FORM_STATES)
     md_sym = 0.0
     for k, l in CLOSED_FORM_STATES:
         for _ in range(10):

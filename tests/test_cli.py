@@ -343,12 +343,14 @@ class TestYieldsCommand:
     @pytest.mark.parametrize(
         "extra",
         [["--budget", "0"], ["--pf-bins", "1:2"], ["--pf-bins", "a:b:c"], ["--pf-bins", "1:0:4"],
-         ["--pf-bins", "nan:1:4"], ["--pf-bins", "0:1:0"], ["--smear"], ["--pf-axis", "0"],
+         ["--pf-bins", "nan:1:4"], ["--pf-bins", "0:1:0"], ["--pf-bins", "0:1:1250001"],
+         ["--smear"], ["--pf-axis", "0"],
          ['{"nu": 1.0}'], ['{"delta": 0.5}'], ['{"zeta_override": 1.0, "delta": 0.5}'],
          ["3"], ['"nu delta"']],
         ids=["budget", "pf-bins-short", "pf-bins-text", "pf-bins-reversed", "pf-bins-nan",
-             "pf-bins-empty", "smear-alone", "pf-axis-alone", "sidecar-no-delta",
-             "sidecar-no-nu", "sidecar-zeta-no-nu", "sidecar-number", "sidecar-string"],
+             "pf-bins-empty", "pf-bins-over-cap", "smear-alone", "pf-axis-alone",
+             "sidecar-no-delta", "sidecar-no-nu", "sidecar-zeta-no-nu", "sidecar-number",
+             "sidecar-string"],
     )
     def test_usage_errors_before_loading(self, extra, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
@@ -361,6 +363,9 @@ class TestYieldsCommand:
         err = capsys.readouterr().err
         if extra == ["--pf-bins", "1:2"]:
             assert "lo:hi:nbins" in err
+        if extra == ["--pf-bins", "0:1:1250001"]:
+            # 8 channel spectra of 1250001 bins, one value over MAX_ROWS
+            assert "10000008 rows" in err
         if sidecar.exists():
             content = json.loads(sidecar.read_text())
             if not isinstance(content, dict):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from conftest import random_rotation
 from oscoal import coalescence
@@ -410,6 +411,38 @@ class TestPoissonSum:
         assert v <= 2.0
         total = sum(poisson_sum(N, rel, params) for N in range(13))
         assert abs(total - 1.0) <= 1e-6
+
+    @staticmethod
+    def _points(rng, p, vmax, n=2000):
+        """n random points whose v spreads over [0, vmax]."""
+        rel_r, rel_p = rng.normal(size=(2, n, 3))
+        v, _ = v_and_t(rel_r, rel_p, p)
+        scale = np.sqrt(rng.uniform(0.0, vmax, n) / v)[:, None]
+        return rel_r * scale, rel_p * scale
+
+    def test_completeness_at_every_shell(self, rng):
+        # at zeta = 1 the levels through Nmax sum to the Poisson CDF in v, for
+        # every Nmax the CLI accepts
+        p = OscParams.from_zeta(1.3, 1.0, 0.9)
+        rel_r, rel_p = self._points(rng, p, 18.0)
+        v, _ = v_and_t(rel_r, rel_p, p)
+        assert v.max() > 17.0
+        batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+        total = np.zeros(len(v))
+        for nmax in range(13):
+            total += sum(batch[lv] for lv in shell_states(nmax))
+            assert np.max(np.abs(total - gammaincc(nmax + 1, v))) <= 1e-14, nmax
+
+    @pytest.mark.parametrize("zeta", [0.25, 3.0])
+    def test_partial_sums_grow_to_at_most_one(self, zeta, rng):
+        p = OscParams.from_zeta(1.3, zeta, 0.9)
+        rel_r, rel_p = self._points(rng, p, 18.0)
+        batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+        total = np.zeros(len(rel_r))
+        for nmax in range(13):
+            grown = total + sum(batch[lv] for lv in shell_states(nmax))
+            assert np.all(grown >= total) and np.all(grown <= 1.0 + 1e-15), nmax
+            total = grown
 
     def test_requires_zeta_one(self):
         p = OscParams.from_zeta(1.0, 2.0)

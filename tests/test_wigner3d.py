@@ -10,6 +10,7 @@ from oscoal.coalescence import PhasePoint, canonical_points, p_kl_batch, shell_s
 from oscoal.expansion import Ame, coeff, degenerate_subspace, psi_klm
 from oscoal.gridio import read_wigner_grid, write_wigner_grid
 from oscoal.ho1d import OscParams, phi_n
+from oscoal.specfun import _gh_grid, double_factorial
 from oscoal.wigner3d import (
     CLOSED_FORM_STATES,
     PhasePoint3D,
@@ -474,22 +475,49 @@ class TestDerivation:
                 derive_invariant_poly(k, l)
 
 
+def _abc_integral_exact(poly):
+    """Int d^3r d^3q W_00 P(a, b, c) as an exact Fraction, the (a, b, c) oracle.
+
+    W_00 makes xi and eta independent N(0, I/2).  With eta = u xi/|xi| +
+    eta_perp, a^i b^j c^h = |xi|^{2(i+h)} u^{2h} (u^2 + |eta_perp|^2)^j, and
+    E|xi|^{2n} = (2n+1)!!/2^n, E u^{2n} = (2n-1)!!/2^n, E|eta_perp|^{2n} = n!.
+    """
+    def moment(n, shift):
+        return F(double_factorial(2 * n + shift), 2**n)
+
+    total = F(0)
+    for (i, j, h), cf in poly.items():
+        eta = sum(math.comb(j, s) * moment(h + s, -1) * math.factorial(j - s) for s in range(j + 1))
+        total += cf * moment(i + h, 1) * eta
+    return total
+
+
+def _abc_integral_quadrature(poly):
+    """The same integral in float monomials, by 6-node Gauss-Hermite quadrature."""
+    tt, w3 = _gh_grid(6)
+    a = np.sum(tt * tt, axis=1)[:, None]
+    b, c = a.T, (tt @ tt.T) ** 2
+    vals = sum(float(cf) * a**i * b**j * c**h for (i, j, h), cf in poly.items())
+    return float(w3 @ vals @ w3) / math.pi**3
+
+
 class TestNormalization:
     def test_phase_space_integral_is_one(self):
+        # quadrature of the evaluator behind `wigner`, exact up to roundoff for N <= 5
         for N in range(6):
             for k, l in shell_states(N):
-                got = _normalization_quadrature(derive_invariant_poly(k, l))
-                assert got == pytest.approx(1.0, abs=1e-8)
+                assert _normalization_quadrature(k, l) == pytest.approx(1.0, abs=1e-13), (k, l)
 
     def test_exact_integral_is_one(self):
-        for N in range(13):
-            for k, l in shell_states(N):
-                assert _normalization_exact(derive_invariant_poly(k, l)) == 1
+        # every level the CLI accepts, by the (E, T) moments and by the (a, b, c) oracle
+        for k, l in ALL_LEVELS:
+            assert _normalization_exact(k, l) == 1, (k, l)
+            assert _abc_integral_exact(derive_invariant_poly(k, l)) == 1, (k, l)
 
     def test_printed_11_tabulation_is_not_normalized(self):
         printed = REFERENCE_TABULATION[(1, 1)]
-        assert _normalization_exact(printed) == F(85, 4)
-        assert _normalization_quadrature(printed) == pytest.approx(85 / 4, abs=1e-8)
+        assert _abc_integral_exact(printed) == F(85, 4)
+        assert _abc_integral_quadrature(printed) == pytest.approx(85 / 4, abs=1e-8)
 
 
 class TestExportGrid:

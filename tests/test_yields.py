@@ -398,6 +398,8 @@ class TestStreaming:
         # numpy sums a single column pairwise, which row-by-row chunks would not match
         "one-bin-smeared": MCConfig(seed=4, pf_bins=(-1.0, 1.5), smear=True),
         "two-bin-smeared": MCConfig(seed=4, pf_bins=(-1.0, 0.0, 1.5), smear=True),
+        # 600 bins: a smeared deposit takes a leaf in blocks of 1744 rows
+        "many-bin-smeared": MCConfig(seed=4, pf_bins=tuple(np.linspace(-2, 2, 601)), smear=True),
     }
 
     @pytest.mark.parametrize("config", CONFIGS)
@@ -456,6 +458,22 @@ class TestStreaming:
             tracemalloc.stop()
         assert rep.mc["pairs"] == 90_000
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_many_bin_smeared_memory_bounded(self, params):
+        # 1600 pairs x 2000 bins: one (pairs x bins) float64 array alone is 26 MB
+        gen = np.random.default_rng(9)
+        tables = [yields.ParticleTable(np.full(40, tag), gen.normal(0, 1.5, (40, 3)),
+                                       gen.normal(0, 1, (40, 3)), np.ones(40))
+                  for tag in ("u", "dbar")]
+        cfg = MCConfig(pf_bins=tuple(np.linspace(-10, 10, 2001)), smear=True)
+        tracemalloc.start()
+        try:
+            rep = pair_yields(*tables, channel_table(), params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mc["pairs"] == 1600
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_exact_yields_memory_bounded(self, params):
         # 1e6 exact pairs: one float per pair and level alone would be 24 MB
@@ -592,6 +610,38 @@ class TestSpectrum:
             expected = counts / widths
         _, dens = spectrum(edges, pairs, chan, params, smear=smear, axis=1)
         assert np.array_equal(dens, expected)
+
+    def test_row_blocks_match_one_pass_bitwise(self, params, rng):
+        # 1000 bins: the deposit takes the 2000 pairs in blocks of 1047 rows
+        us, ds = random_ensembles(rng, 40, 50)
+        pairs = [(a, b) for a in us for b in ds]
+        chan = channel_table()[2]
+        level = (chan.k, chan.l)
+        edges = np.linspace(-3, 3, 1001)
+        rel_r = np.array([[a - b for a, b in zip(p1.r, p2.r)] for p1, p2 in pairs])
+        rel_p = np.array([[0.5 * (a - b) for a, b in zip(p1.p, p2.p)] for p1, p2 in pairs])
+        w = np.array([p1.weight * p2.weight for p1, p2 in pairs])
+        masses = w * float(chan.stat_weight) * p_kl_batch([level], rel_r, rel_p, params)[level]
+        centers = np.array([p1.p[2] + p2.p[2] for p1, p2 in pairs])
+        cdf = 0.5 * (1.0 + erf((edges[None, :] - centers[:, None]) * (params.delta / params.hbar)))
+        expected = (masses[:, None] * np.diff(cdf, axis=1)).sum(axis=0) / np.diff(edges)
+        _, dens = spectrum(edges, pairs, chan, params, smear=True)
+        assert np.array_equal(dens, expected)
+
+    def test_smeared_memory_bounded(self, params):
+        # 2970 pairs x 1000 bins: one (pairs x bins) float64 array alone is 24 MB
+        gen = np.random.default_rng(10)
+        us = [ParticleRecord("u", gen.normal(0, 1.5, 3), gen.normal(0, 1, 3)) for _ in range(54)]
+        ds = [ParticleRecord("dbar", gen.normal(0, 1.5, 3), gen.normal(0, 1, 3)) for _ in range(55)]
+        pairs = [(a, b) for a in us for b in ds]
+        tracemalloc.start()
+        try:
+            _, dens = spectrum(np.linspace(-10, 10, 1001), pairs, channel_table()[0], params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dens.shape == (1000,)
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_misordered_edges_rejected(self, params):
         with pytest.raises(ValueError):
