@@ -299,6 +299,18 @@ def _pf_edges(spec):
 _SIDECAR_KEYS = ("nu", "delta", "hbar", "zeta_override")
 
 
+def _species_tables(path):
+    """The tables of the two species in the particle list at `path`, in tag order.
+
+    The whole table is freed on return, before the pairs run.
+    """
+    particles = load_particles(path)
+    tags = np.unique(particles.species).tolist()
+    if len(tags) != 2:
+        raise _UsageError(f"need exactly two species, found {tags}")
+    return particles.select(tags[0]), particles.select(tags[1])
+
+
 def cmd_yields(args):
     if args.pf_bins is None and (args.smear or args.pf_axis is not None):
         raise _UsageError("--smear and --pf-axis shape the spectrum; they need --pf-bins")
@@ -324,12 +336,7 @@ def cmd_yields(args):
         params = OscParams.from_zeta(nu, params_file["zeta_override"], hbar)
     else:
         params = OscParams(nu=nu, delta=params_file["delta"], hbar=hbar)
-    particles = load_particles(args.particles)
-    tags = np.unique(particles.species).tolist()
-    if len(tags) != 2:
-        raise _UsageError(f"need exactly two species, found {tags}")
-    report = pair_yields(particles.select(tags[0]), particles.select(tags[1]),
-                         channel_table(), params, cfg)
+    report = pair_yields(*_species_tables(args.particles), channel_table(), params, cfg)
     _emit(json.dumps(report.to_json_dict(), sort_keys=True, indent=1), args.out)
     return EXIT_OK
 
@@ -405,7 +412,7 @@ def cmd_figures(args):
 def cmd_selftest(args):
     from .selftest import run_selftest
 
-    ok, _ = run_selftest(inject_fault=args.inject_fault)
+    ok, _ = run_selftest()
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -455,7 +462,6 @@ def build_parser():
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
     return parser

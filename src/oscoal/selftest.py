@@ -110,13 +110,10 @@ def all_states_through(nmax):
     return out
 
 
-def _check_low_order_coefficients(inject_fault=False):
+def _check_low_order_coefficients():
     bad = 0
     for ((k, l, m), t), expected in REFERENCE_COEFFICIENTS.items():
         got = expansion.coeff(Ame(k, l, m), FeTriple(*t)).signed_squares()
-        if inject_fault:
-            got = (got[0] + F(1, 1000), got[1])
-            inject_fault = False
         if got != expected:
             bad += 1
     return CheckResult("low-order coefficient table (exact)", bad == 0, float(bad), 0.0)
@@ -509,14 +506,11 @@ _CHECKS = [
 ]
 
 
-def run_selftest(inject_fault=False, echo=print):
+def run_selftest(echo=print):
     """Run every invariant group; returns (all_passed, [CheckResult])."""
     results = []
     for check in _CHECKS:
-        if check is _check_low_order_coefficients:
-            res = check(inject_fault=inject_fault)
-        else:
-            res = check()
+        res = check()
         results.append(res)
         if echo is not None:
             echo(res.line())

@@ -10,12 +10,11 @@ spectrum uses the centroid total momentum P_i = p1 + p2, either sharply
 
 Input format: CSV with header ``species,rx,ry,rz,px,py,pz[,weight]`` in the
 natural units declared alongside (nu, delta, hbar); see `load_particles`.
-The loader converts the file in blocks of `_BLOCK` lines.  A block of plain
-rows is split on commas; from the first block with a quote, a CR, a NUL, a
-line longer than csv's field size limit or a row that fails a check,
-`csv.reader` reads the rest, so quoted fields, CR line ends and blank rows
-keep the csv module's meaning and errors name the same line as when the
-whole file goes through `csv`.
+The loader reads the file in blocks of `_BLOCK` lines with numpy's C reader,
+CRLF line ends included.  From the first block that numpy cannot read as
+`float` would, or with a long line or a row that fails a check, `csv.reader`
+reads the rest, so quoted fields and blank rows keep the csv module's meaning
+and errors name the same line as when the whole file goes through `csv`.
 
 The pair loop enumerates the full cross product while it fits the budget and
 falls back to uniform random pair sampling beyond that; fixed seeds give
@@ -138,6 +137,8 @@ class MCConfig:
     smear: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_pairs <= 0:
             raise ValueError(f"pair budget must be positive, got {self.max_pairs}")
         if self.pf_axis not in (0, 1, 2):
@@ -243,29 +244,24 @@ def _parse_particles(fh):
 def _split_block(lines, width):
     """The table of a block of plain lines, or None unless every line is a good row.
 
-    Quoting, CR line ends, NUL and lines longer than csv's field size limit
-    are left to `csv`, as are blank and malformed rows: those fail one of the
-    checks.
+    numpy's C reader converts the numbers.  It fails where `float` does, and on
+    a quote, NUL, lone CR, `1_0` or non-ASCII digit; it strips U+001C-U+001F as
+    whitespace, which `float` rejects, so those go to `csv` with long lines.
     """
-    text = ",".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines)) > csv.field_size_limit()):
+    text = "".join(lines)
+    # a short line fails numpy and a blank one the tag check: the total pins every line
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or text.count(",") != len(lines) * (width - 1)
+            or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
         return None
-    cells = text.split(",")
-    # The count alone lets a long line balance short ones; with every line
-    # end also in a row's last field, no line is short or long.
-    if (len(cells) != len(lines) * width
-            or "".join(cells[width - 1 :: width]).count("\n") != text.count("\n")):
-        return None
-    tags = list(map(str.strip, cells[0::width]))
+    tags = [line.partition(",")[0].strip() for line in lines]
     if not set(tags) <= set(KNOWN_SPECIES):
         return None
-    del cells[0::width]
     try:
-        nums = np.fromiter(map(float, cells), float, len(cells))
+        nums = np.loadtxt(lines, delimiter=",", usecols=range(1, width), comments=None, ndmin=2)
     except ValueError:
         return None
-    return _table(tags, nums.reshape(len(lines), width - 1), width)
+    return _table(tags, nums, width)
 
 
 def _csv_blocks(lines, width, lineno):

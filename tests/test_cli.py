@@ -9,11 +9,13 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oscoal import cli
 from oscoal.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid_spec
 from oscoal.gridio import read_prob_table, read_wigner_grid, write_table
 from oscoal.ho1d import OscParams
@@ -329,6 +331,28 @@ class TestYieldsCommand:
         assert y["rho+"] == 3 * y["pi+"]
         assert rep["mc"]["mode"] == "exact" and rep["mc"]["pairs"] == 2
 
+    def test_full_table_freed_before_the_pairs_run(self, tmp_path, monkeypatch):
+        parts = tmp_path / "parts.csv"
+        parts.write_text("species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\ndbar,0,0.5,0,0.1,0,0\n")
+        pjson = tmp_path / "params.json"
+        pjson.write_text('{"nu": 1.0, "delta": 0.5}')
+        load, pairs, tables = cli.load_particles, cli.pair_yields, []
+
+        def tracked_load(path):
+            table = load(path)
+            tables.append(weakref.ref(table))
+            return table
+
+        def checked_pairs(*args):
+            assert len(tables) == 1 and tables[0]() is None, "the full table is still alive"
+            return pairs(*args)
+
+        monkeypatch.setattr(cli, "load_particles", tracked_load)
+        monkeypatch.setattr(cli, "pair_yields", checked_pairs)
+        out = tmp_path / "rep.json"
+        assert run(["yields", "--particles", str(parts), "--params", str(pjson),
+                    "--out", str(out)]) == EXIT_OK
+
     def test_zeta_override(self, tmp_path):
         parts = tmp_path / "parts.csv"
         parts.write_text("species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\ndbar,0,0,0,0,0,0\n")
@@ -346,11 +370,11 @@ class TestYieldsCommand:
          ["--pf-bins", "nan:1:4"], ["--pf-bins", "0:1:0"], ["--pf-bins", "0:1:1250001"],
          ["--smear"], ["--pf-axis", "0"],
          ['{"nu": 1.0}'], ['{"delta": 0.5}'], ['{"zeta_override": 1.0, "delta": 0.5}'],
-         ["3"], ['"nu delta"']],
+         ["3"], ['"nu delta"'], ["--seed", "-1"]],
         ids=["budget", "pf-bins-short", "pf-bins-text", "pf-bins-reversed", "pf-bins-nan",
              "pf-bins-empty", "pf-bins-over-cap", "smear-alone", "pf-axis-alone",
              "sidecar-no-delta", "sidecar-no-nu", "sidecar-zeta-no-nu", "sidecar-number",
-             "sidecar-string"],
+             "sidecar-string", "seed-negative"],
     )
     def test_usage_errors_before_loading(self, extra, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("oscoal.cli.load_particles", _must_not_compute)
@@ -366,6 +390,8 @@ class TestYieldsCommand:
         if extra == ["--pf-bins", "0:1:1250001"]:
             # 8 channel spectra of 1250001 bins, one value over MAX_ROWS
             assert "10000008 rows" in err
+        if extra == ["--seed", "-1"]:
+            assert "seed must be nonnegative, got -1" in err
         if sidecar.exists():
             content = json.loads(sidecar.read_text())
             if not isinstance(content, dict):

@@ -3,16 +3,31 @@ from fractions import Fraction
 import pytest
 
 from oscoal import wigner3d
-from oscoal.selftest import _CHECKS, _check_closed_form_audit, _check_low_order_coefficients
+from oscoal.cli import EXIT_INVARIANT, main
+from oscoal.selftest import (REFERENCE_COEFFICIENTS, _CHECKS, _check_closed_form_audit,
+                             _check_low_order_coefficients)
 
 
 def test_at_least_ten_invariant_groups():
     assert len(_CHECKS) >= 10
 
 
-def test_fault_injection_fails_the_table_group():
-    assert _check_low_order_coefficients(inject_fault=False).passed
-    assert not _check_low_order_coefficients(inject_fault=True).passed
+def _shift_first_reference(monkeypatch):
+    key, (real, imag) = next(iter(REFERENCE_COEFFICIENTS.items()))
+    monkeypatch.setitem(REFERENCE_COEFFICIENTS, key, (real + Fraction(1, 1000), imag))
+
+
+def test_fault_injection_fails_the_table_group(monkeypatch):
+    assert _check_low_order_coefficients().passed
+    _shift_first_reference(monkeypatch)
+    assert not _check_low_order_coefficients().passed
+
+
+def test_cli_selftest_exits_2_on_a_failed_group(monkeypatch, capsys):
+    _shift_first_reference(monkeypatch)
+    assert main(["selftest"]) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert any(line.startswith("FAIL low-order coefficient table") for line in out.splitlines())
 
 
 def test_result_lines_have_status_and_deviation():

@@ -219,7 +219,7 @@ def _outcome(source):
 
 
 class TestLoaderBlocks:
-    """Blocks of plain lines are split directly; `csv` takes over from the first other block."""
+    """numpy's C reader converts plain blocks; `csv` takes over from the first other block."""
 
     @pytest.mark.parametrize("block", [2, 3])
     def test_blocks_match_csv_only(self, block, tmp_path, monkeypatch):
@@ -247,6 +247,7 @@ class TestLoaderBlocks:
                 assert _outcome(source()) == outcome[name], name
             csv_start[name] = starts[:1]
         assert csv_start["plain"] == [] and len(outcome["plain"][1]) == 5 * block
+        assert csv_start["crlf"] == [2 + 3 * block]
         assert csv_start["quote-opens-block-3"] == [2 + 2 * block]
         assert len(outcome["quote-opens-block-3"][1]) == 2 * block + 4
         bad_float = "could not convert string to float: 'x'"
@@ -259,6 +260,20 @@ class TestLoaderBlocks:
         assert outcome["long-number-in-block-2"] == f"line {3 + block}: {too_long}"
         assert outcome["long-quoted-after-bad-row"].startswith(f"line {2 + block}: unknown species")
         assert outcome["long-header"] == f"line 1: {too_long}"
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_around_a_number_goes_to_csv(self, sep, monkeypatch):
+        # numpy strips these from a number as whitespace; `float` rejects them
+        text = _H7 + _plain_rows(3) + f"u,0,{sep}1,0,0,0,2{sep}\n" + _plain_rows(2)
+        monkeypatch.setattr(yields, "_BLOCK", 2)
+        assert _outcome(io.StringIO(text)) == (
+            f"line 5: could not convert string to float: {sep + '1'!r}")
+
+    def test_crlf_file_loads_as_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_text(_H8 + _plain_rows(7, weight=True))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert _outcome(crlf) == _outcome(lf)
 
 
 class TestChannelTable:
@@ -680,3 +695,5 @@ class TestValidation:
             Channel("x", 0, 0, Fraction(0))
         with pytest.raises(ValueError):
             MCConfig(pf_bins=(1.0, 0.5))
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            MCConfig(seed=-1)
