@@ -7,8 +7,10 @@ sorted JSON keys and floats carry 17 significant digits.
 """
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -73,6 +75,12 @@ def _check_rows(rows, what):
     """Refuse, before any compute, a result file of more than MAX_ROWS rows."""
     if rows > MAX_ROWS:
         raise _UsageError(f"{what} would write {rows} rows; one file holds at most {MAX_ROWS}")
+
+
+def _check_out(out):
+    """Refuse, before any compute, an `--out` whose directory does not exist."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 
 def _resolve_params(args):
@@ -183,6 +191,7 @@ def cmd_coeff(args):
         raise _UsageError("no states match the requested quantum numbers")
     if args.verify and max(s.energy_quantum for s in states) > ORACLE_MAX_N:
         raise _UsageError(f"coeff --verify needs 2k + l <= {ORACLE_MAX_N} (the oracle's range)")
+    _check_out(args.out)
     rows, max_dev = _coeff_rows(states, args.verify)
     if args.format == "json":
         _emit(json.dumps(rows, sort_keys=True, indent=1), args.out)
@@ -219,6 +228,7 @@ def cmd_wigner(args):
     _reject_zeta_and_delta(args, "wigner")
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "q"))
     _check_rows(len(axes["r"]) * len(axes["q"]) * len(thetas), "wigner")
+    _check_out(args.out)
     grid = export_grid(args.k, args.l, axes["r"], axes["q"], thetas, params)
     if args.verify:
         from .wigner3d import wigner_kl, wigner_kl_oracle
@@ -261,6 +271,7 @@ def cmd_prob(args):
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "p"))
     levels = [(args.k, args.l)] if args.k is not None else list(CLOSED_FORM_STATES)
     _check_rows(len(axes["r"]) * len(axes["p"]) * len(thetas) * len(levels), "prob")
+    _check_out(args.out)
     grid = [a.ravel() for a in np.meshgrid(axes["r"], axes["p"], thetas, indexing="ij")]
     rel_r, rel_p = canonical_points(*grid)
     v, t = v_and_t(rel_r, rel_p, params)
@@ -317,6 +328,7 @@ def cmd_yields(args):
     cfg = MCConfig(seed=args.seed, max_pairs=args.budget,
                    pf_bins=None if args.pf_bins is None else _pf_edges(args.pf_bins),
                    pf_axis=2 if args.pf_axis is None else args.pf_axis, smear=args.smear)
+    _check_out(args.out)
     params_file = json.loads(Path(args.params).read_text(), parse_int=float)
     if not isinstance(params_file, dict):
         raise _UsageError(f"params file {args.params} must hold a JSON object")

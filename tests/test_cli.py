@@ -524,6 +524,32 @@ class TestFiguresCommand:
         assert p03[-1] == max(p03) and p11[-1] == min(p11)
 
 
+class TestOutDirectory:
+    """A missing `--out` directory is an i/o error (exit 3) before any compute."""
+
+    @pytest.mark.parametrize(
+        "argv, compute",
+        [(["coeff", "--N", "2"], "_coeff_rows"),
+         (["wigner", "--k", "0", "--l", "0"], "export_grid"),
+         (["prob", "--zeta", "2.0"], "p_kl_batch"),
+         (["yields", "--budget", "50000", "--seed", "7", "--pf-bins=-10:10:160", "--smear"],
+          "load_particles")],
+        ids=["coeff", "wigner", "prob", "yields"],
+    )
+    def test_missing_out_directory(self, argv, compute, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(f"oscoal.cli.{compute}", _must_not_compute)
+        if argv[0] == "yields":  # inputs that exist, so that only --out is wrong
+            (tmp_path / "parts.csv").write_text("species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\n")
+            (tmp_path / "params.json").write_text('{"nu": 1, "delta": 0.5, "hbar": 1}')
+            argv = argv + ["--particles", str(tmp_path / "parts.csv"),
+                           "--params", str(tmp_path / "params.json")]
+        out = tmp_path / "missing" / "out.dat"
+        assert run(argv + ["--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(out) in err
+        assert not out.parent.exists()
+
+
 class TestRowCap:
     @pytest.mark.parametrize(
         "argv",
