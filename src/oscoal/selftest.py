@@ -367,8 +367,8 @@ def _check_wigner3d_oracle():
             pt = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
             md = max(md, abs(wigner3d.wigner_kl(k, l, pt, params)
                              - wigner3d.wigner_kl_oracle(k, l, pt, params)))
-    # normalization: the exact moment sum for every level the CLI accepts
-    # (N <= 12), the float quadrature of the evaluator for N <= 3
+    # normalization: the exact circular-weight identity for every level the
+    # CLI accepts (N <= 12), the float quadrature of the evaluator for N <= 3
     exact_ok = all(wigner3d._normalization_exact(k, l) == 1
                    for N in range(13) for k, l in coalescence.shell_states(N))
     md_norm = max(abs(wigner3d._normalization_quadrature(k, l) - 1.0)
@@ -396,8 +396,9 @@ def _check_multiplet_trace():
                 for k, l in coalescence.shell_states(N)
             )
             md = max(md, abs(direct - averaged))
-    # exact: sum_{2k+l=N} (2l+1) W_kl / W_00 = (-1)^N L_N^(2)(2(a+b))
-    exact_ok = not any(wigner3d._shell_trace_residue(N) for N in range(9))
+    # exact: sum_{2k+l=N} (2l+1) W_kl / W_00 = (-1)^N L_N^(2)(2(a+b)), on the
+    # circular weights for every shell the CLI accepts
+    exact_ok = not any(wigner3d._shell_trace_residue(N) for N in range(13))
     return CheckResult("degenerate multiplet trace identity", exact_ok and md <= 1e-12, md, 1e-12)
 
 

@@ -25,11 +25,31 @@ P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so e^v P_kl =
 polynomials in (E, T) to polynomials in (E, T), and the inverse heat flow
 P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite series.  All 49
 levels with N <= 12 derive in about 0.04 s on a 2-vCPU VM.
-`wigner_kl_closed` and `export_grid` evaluate each T^j coefficient in the
-Laguerre basis L_n^(2+2j)(2E): for r, q in [0, 4], pi^3 hbar^3 W is within
-2e-15 of exact values at the same float E and T for N <= 9, and within
-3.1e-14 at N = 12.  Each W_kl integrates to 1, exactly by the W_00 moments
-of E^i T^j (`_normalization_exact`) and by quadrature of that evaluator.
+
+Rotations about one axis and the harmonic flow give independent phases to
+the circular ladder operators (A_x -+ i A_y)/sqrt(2), so at a point brought
+by them to xi = (x, 0, 0), eta = (0, y, 0) only the diagonal of the
+multiplet projector in the cylindrical basis |n+, n-, n_z> survives:
+
+    W_kl = (-1)^N W_00/(2l+1) sum_ab w_ab L_a(u+) L_b(u-),
+    u+- = E +- 2 sqrt(T),  u- = ((a - b)^2 + 4c)/u+,
+
+with the plain Laguerre polynomials L_n and
+w_ab = sum_m |<k l m | a, b, N - a - b>|^2.
+`_circular_weights` converts `_derive_et` to the w_ab exactly; for every
+level with N <= 12 they are nonnegative, symmetric, zero unless |a - b| <= l,
+and sum to 2l + 1.  Since |e^{-u/2} L_n(u)| <= 1, |pi^3 hbar^3 W_kl| <= 1,
+with equality at the origin.  `wigner_kl_closed`, `export_grid` and the
+normalization quadrature share one evaluator, `_wigner_circular`: two
+Laguerre recurrences and a banded double sum, within 2e-15 of exact values
+of pi^3 hbar^3 W for every level with N <= 12.  Two identities on the
+weights check the whole table exactly: each W_kl integrates to
+(-1)^N sum_ab w_ab g(|a - b|)/(2l+1) = 1, with g(0) = 1 and
+g(d) = (-1)^d 2d (`_normalization_exact`), and each shell sums to the
+Wigner function of its projector, (-1)^N L_N^(2)(2E) =
+(-1)^N sum_{a+b<=N} L_a(u+) L_b(u-), so sum_{2k+l=N} w_ab is 1 for
+a + b <= N and 0 beyond (`_shell_trace_residue`).
+
 Two terms of the commonly tabulated printed forms for the (0,3) and (1,1)
 states, audited in (a, b, c), fail the mirror symmetry; the derivation
 fixes both (see `REFERENCE_TABULATION_NOTES`).
@@ -42,12 +62,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coalescence import PhasePoint, _husimi_terms, v_and_t
+from .coalescence import PhasePoint, _dot, _husimi_terms
 from .expansion import Ame, _coeff_matrix, _psi_cartesian, bilinear_assemble, bilinear_table
 from .expansion import psi_klm
 from .expansion import d_coeff_reduced  # unused here; perfbench/spans.py wraps this name
 from .ho1d import Phase1D, wigner_1d
-from .specfun import _gh_grid, assoc_laguerre, double_factorial, spherical_harmonic
+from .specfun import _gh_grid, spherical_harmonic
 
 __all__ = [
     "PhasePoint3D",
@@ -65,6 +85,8 @@ __all__ = [
 
 
 PhasePoint3D = PhasePoint  # the point (r, q); perfbench and oscoal.__all__ import this name
+
+SLAB_CELLS = 2**13  # grid cells per slab of `export_grid`
 
 
 def _wigner_1d_matrix(nmax, x, q, params):
@@ -178,19 +200,16 @@ def derive_invariant_poly(k, l):
 
 
 def _shell_trace_residue(N):
-    """sum_{2k+l=N} (2l+1) W_kl/W_00 - (-1)^N L_N^(2)(2E) in (E, T), exactly, zeros dropped.
+    """sum_{2k+l=N} w_ab - [a + b <= N] over the circular weights, exactly, zeros dropped.
 
-    The Laguerre term is the Wigner function of the projector onto shell N
-    over W_00, so the residue of the derived polynomials must be {}: the T
-    terms cancel within the shell.
+    sum_{a+b<=N} L_a(u+) L_b(u-) = L_N^(2)(u+ + u-) = L_N^(2)(2E), so the
+    residue is {} exactly when the shell sums to the Wigner function of its
+    projector, sum_{2k+l=N} (2l+1) W_kl/W_00 = (-1)^N L_N^(2)(2E).
     """
-    out = {}
+    out = {(a, b): -1 for a in range(N + 1) for b in range(N + 1 - a)}
     for k in range(N // 2 + 1):
-        for key, cf in _derive_et(k, N - 2 * k).items():
-            out[key] = out.get(key, 0) + (2 * N - 4 * k + 1) * cf
-    for m in range(N + 1):
-        cf = Fraction((-1) ** (N + m) * math.comb(N + 2, N - m) * 2**m, math.factorial(m))
-        out[(m, 0)] = out.get((m, 0), 0) - cf
+        for key, w in _circular_weights(k, N - 2 * k)[0].items():
+            out[key] = out.get(key, 0) + w
     return {key: c for key, c in out.items() if c}
 
 
@@ -270,43 +289,80 @@ CLOSED_FORM_STATES = tuple(REFERENCE_TABULATION)
 
 
 @lru_cache(maxsize=None)
-def _laguerre_terms(k, l):
-    """W_kl / W_00 as float terms (j, ((n, d), ...)) of sum_j T^j sum_n d L_n^(2+2j)(2E).
+def _circular_weights(k, l):
+    """The weights of W_kl = (-1)^N W_00/(2l+1) sum_ab w_ab L_a(u+) L_b(u-), exact and float.
 
-    Each T^j coefficient of `_derive_et` is converted exactly with
-    x^i = i! sum_{n <= i} (-1)^n C(i + a, i - n) L_n^(a)(x), a = 2 + 2j, x = 2E.
+    Returns (w, rows): w is {(a, b): Fraction} of the nonzero w_ab, and rows
+    is ((a, ((b, f), ...)), ...) with f = (-1)^N w_ab/(2l+1) as a float.
+    `_derive_et` is converted with E = (u+ + u-)/2, T = (u+ - u-)^2/16 and
+    u^p = p! sum_n (-1)^n C(p, n) L_n(u), in integers over one common
+    denominator: i + 2j <= N, so 2^(i+4j) divides 4^N.
     """
+    poly = _derive_et(k, l)
     N = 2 * k + l
-    d = [[0] * (N + 1) for _ in range(N // 2 + 1)]
-    for (i, j), cf in _derive_et(k, l).items():
-        for n in range(i + 1):
-            d[j][n] += cf * (-1) ** n * math.factorial(i) * math.comb(i + 2 + 2 * j, i - n) / 2**i
-    return tuple((j, tuple((n, float(c)) for n, c in enumerate(row) if c))
-                 for j, row in enumerate(d) if any(row))
+    den = math.lcm(*(c.denominator for c in poly.values())) << (2 * N)
+    mono = [[0] * (N + 1) for _ in range(N + 1)]  # u+^p u-^q
+    for (i, j), cf in poly.items():
+        scale = cf.numerator * (den // cf.denominator) >> (i + 4 * j)
+        for s in range(i + 1):  # (u+ + u-)^i (u+ - u-)^(2j)
+            for r in range(2 * j + 1):
+                binomials = (-1) ** r * math.comb(i, s) * math.comb(2 * j, r)
+                mono[i + 2 * j - s - r][s + r] += scale * binomials
+    # u^p = sum_n lag[n][p] L_n(u)
+    lag = [[(-1) ** n * math.factorial(p) * math.comb(p, n) for p in range(N + 1)]
+           for n in range(N + 1)]
+    half = [[sum(lag[a][p] * mono[p][q] for p in range(a, N + 1)) for q in range(N + 1)]
+            for a in range(N + 1)]
+    m = [[sum(half[a][q] * lag[b][q] for q in range(b, N + 1)) for b in range(N + 1)]
+         for a in range(N + 1)]
+    sign = (-1) ** N
+    w = {(a, b): Fraction(sign * (2 * l + 1) * c, den)
+         for a, row in enumerate(m) for b, c in enumerate(row) if c}
+    rows = tuple((a, tuple((b, c / den) for b, c in enumerate(row) if c))
+                 for a, row in enumerate(m) if any(row))
+    return w, rows
 
 
-def _wigner_et(k, l, E, T, hbar):
-    """W_kl = e^{-E}/(pi hbar)^3 sum_j T^j sum_n d L_n^(2+2j)(2E) at the invariants E, T.
+def _laguerre_values(n, u):
+    """[L_0(u), ..., L_n(u)] by the three-term recurrence."""
+    out = [np.ones_like(u), 1.0 - u][: n + 1]
+    for m in range(1, n):
+        out.append(((2 * m + 1 - u) * out[m] - m * out[m - 1]) / (m + 1))
+    return out
 
-    Exactly 0 where e^{-E} underflows; far out the sum overflows, so callers
-    run this under np.errstate(over="ignore", invalid="ignore").
+
+def _wigner_circular(k, l, a, b, t, c, hbar):
+    """W_kl at the invariants a = |xi|^2, b = |eta|^2, t = |xi x eta|^2, c = (xi.eta)^2.
+
+    e^{-(a+b)}/(pi hbar)^3 sum_ab f_ab L_a(u+) L_b(u-) with the float rows of
+    `_circular_weights`, u+ = a + b + 2 sqrt(t) and u- = ((a-b)^2 + 4c)/u+
+    (0 where u+ = 0), which does not cancel.  The arguments broadcast.
+    Exactly 0 where e^{-(a+b)} underflows; far out the Laguerre values
+    overflow, so callers run this under np.errstate(over="ignore", invalid="ignore").
     """
-    E, T = np.asarray(E, dtype=float), np.asarray(T, dtype=float)
-    x = 2.0 * E
-    w00 = np.exp(-E) / (math.pi**3 * hbar**3)
-    poly = sum(T**j * sum(d * assoc_laguerre(n, 2 + 2 * j, x) for n, d in terms)
-               for j, terms in _laguerre_terms(k, l))
+    rows = _circular_weights(k, l)[1]
+    up = a + b + 2.0 * np.sqrt(t)
+    um = np.divide((a - b) ** 2 + 4.0 * c, up, out=np.zeros(np.shape(up)), where=up != 0.0)
+    lp, lm = _laguerre_values(2 * k + l, up), _laguerre_values(2 * k + l, um)
+    poly = sum(lp[i] * sum(f * lm[j] for j, f in row) for i, row in rows)
+    w00 = np.exp(-(a + b)) / (math.pi**3 * hbar**3)
     return np.where(w00 == 0.0, 0.0, w00 * poly)
 
 
 def wigner_kl_closed(k, l, r, q, params):
     """Closed-form W_kl, any level, at points r, q of shape (3,) (a float) or (n, 3).
 
-    E = 2v and T = t come from `v_and_t`, whose cross product does not cancel.
+    a = nu^2 (r.r) and b = (q.q)/(hbar nu)^2; t and c come from xi = nu r and
+    eta = q/(hbar nu), with t = |xi x eta|^2 from the cross product, which
+    does not cancel.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # far points: see _wigner_et
-        v, t = v_and_t(r, q, params)
-        out = _wigner_et(k, l, 2.0 * v, t, params.hbar)
+    nu, hbar = params.nu, params.hbar
+    r, q = np.asarray(r, dtype=float), np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # far points: see _wigner_circular
+        xi, eta = nu * r, q / (hbar * nu)
+        cross = np.cross(xi, eta)
+        out = _wigner_circular(k, l, nu**2 * _dot(r, r), _dot(q, q) / (hbar * nu) ** 2,
+                               _dot(cross, cross), _dot(xi, eta) ** 2, hbar)
     return float(out) if out.ndim == 0 else out
 
 
@@ -371,21 +427,19 @@ def wigner_kl_oracle(k, l, pt, params):
 # Phase-space integral of W_kl, exact and by quadrature.
 
 def _normalization_exact(k, l):
-    """Int d^3r d^3q W_kl as an exact Fraction, from `_derive_et` (1 for every level).
+    """Int d^3r d^3q W_kl as an exact Fraction, from the circular weights (1 for every level).
 
-    W_00 makes xi and eta independent N(0, I/2): |xi|^{2n} has the mean
-    (2n+1)!!/2^n, and the cosine u of their angle is uniform, so (1 - u^2)^j
-    has the mean 4^j (j!)^2/(2j+1)!.  With T = |xi|^2 |eta|^2 (1 - u^2), the
-    mean of E^i T^j is (j!)^2/((2j+1)! 2^i) sum_p C(i, p) (2p+2j+1)!! (2i-2p+2j+1)!!.
+    The W_00 mean of the symmetrized L_a(u+) L_b(u-) is g(|a - b|), with
+    g(0) = 1 and g(d) = (-1)^d 2d (`TestNormalization` pins this by
+    quadrature), so the integral is (-1)^N sum_ab w_ab g(|a - b|)/(2l+1).
     """
-    return sum(cf * Fraction(math.factorial(j) ** 2, math.factorial(2 * j + 1) * 2**i)
-               * sum(math.comb(i, p) * double_factorial(2 * (p + j) + 1)
-                     * double_factorial(2 * (i - p + j) + 1) for p in range(i + 1))
-               for (i, j), cf in _derive_et(k, l).items())
+    total = sum(w * (1 if a == b else (-1) ** abs(a - b) * 2 * abs(a - b))
+                for (a, b), w in _circular_weights(k, l)[0].items())
+    return (-1) ** (2 * k + l) * total / (2 * l + 1)
 
 
 def _normalization_quadrature(k, l):
-    """The same integral in floats: 6-node Gauss-Hermite quadrature of `_wigner_et`.
+    """The same integral in floats: 6-node Gauss-Hermite quadrature of `_wigner_circular`.
 
     The rule's weight is e^{-E}, so it integrates e^E W_kl at hbar = 1.  Exact
     up to roundoff for degree <= 11 in each of the six reduced variables,
@@ -393,9 +447,10 @@ def _normalization_quadrature(k, l):
     """
     tt, w3 = _gh_grid(6)
     a = np.sum(tt * tt, axis=1)
-    E = a[:, None] + a[None, :]
-    T = a[:, None] * a[None, :] - (tt @ tt.T) ** 2
-    return float(w3 @ (_wigner_et(k, l, E, T, 1.0) * np.exp(E)) @ w3)
+    cross = np.cross(tt[:, None, :], tt[None, :, :])
+    values = _wigner_circular(k, l, a[:, None], a[None, :], np.sum(cross * cross, axis=-1),
+                              (tt @ tt.T) ** 2, 1.0)
+    return float(w3 @ (values * np.exp(a[:, None] + a[None, :])) @ w3)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +502,10 @@ def export_grid(k, l, r_axis, q_axis, theta_axis, params):
     """Evaluate W_kl on an (r, q, theta) product grid and extract node lines.
 
     Axes must be strictly increasing (theta may be any finite list).  Uses
-    the evaluator of `wigner_kl_closed`; node lines are level crossings of
-    each theta slice.
+    the evaluator of `wigner_kl_closed`, with the invariants formed as it
+    forms them at `canonical_points`, so the two agree bitwise at theta = 0.
+    It runs on slabs of r rows of about SLAB_CELLS cells, so its temporaries
+    stay bounded.  Node lines are level crossings of each theta slice.
     """
     r_axis = np.asarray(r_axis, dtype=float)
     q_axis = np.asarray(q_axis, dtype=float)
@@ -457,10 +514,16 @@ def export_grid(k, l, r_axis, q_axis, theta_axis, params):
         if ax.ndim != 1 or len(ax) < 2 or np.any(np.diff(ax) <= 0):
             raise ValueError(f"{name} axis must be strictly increasing with >= 2 points")
     nu, hbar = params.nu, params.hbar
-    with np.errstate(over="ignore", invalid="ignore"):  # far cells: see _wigner_et
-        # E as `v_and_t` forms 2v, T = ab sin^2(theta) without cancellation
-        a = nu**2 * r_axis[:, None, None] ** 2
-        b = q_axis[None, :, None] ** 2 / (hbar * nu) ** 2
-        values = _wigner_et(k, l, a + b, a * b * np.sin(theta_axis) ** 2, hbar)
+    values = np.empty((len(r_axis), len(q_axis), len(theta_axis)))
+    step = max(1, SLAB_CELLS // max(1, len(q_axis) * len(theta_axis)))
+    cos, sin = np.cos(theta_axis), np.sin(theta_axis)
+    with np.errstate(over="ignore", invalid="ignore"):  # far cells: see _wigner_circular
+        b = q_axis[:, None] ** 2 / (hbar * nu) ** 2
+        eta = q_axis[:, None] / (hbar * nu)
+        for lo in range(0, len(r_axis), step):
+            r = r_axis[lo:lo + step, None, None]
+            xi_eta = (nu * r) * eta  # |xi||eta|: xi.eta and |xi x eta| at angle theta
+            values[lo:lo + step] = _wigner_circular(k, l, nu**2 * r**2, b, (xi_eta * sin) ** 2,
+                                                    (xi_eta * cos) ** 2, hbar)
     nodes = [level_crossings(r_axis, q_axis, values[:, :, s]) for s in range(len(theta_axis))]
     return WignerGrid(k, l, r_axis, q_axis, theta_axis, values, nodes, params)

@@ -33,9 +33,8 @@ A smeared deposit takes its rows in blocks of at most `_DEPOSIT_CELLS`
 cells through one workspace per call.  Exact mode holds nothing per pair;
 sampled mode holds one float per pair and level, which the standard error
 (`np.std`) takes whole, and the drawn pair indices.
-Spectrum bins add their pairs in pair order, leaf after leaf; a single
-smeared bin, which numpy sums pairwise, adds up the tree like the yields.
-So the report is the same bytes for every `_CHUNK`.
+Spectrum bins add their pairs in pair order, leaf after leaf, so the
+report is the same bytes for every `_CHUNK`.
 """
 
 import csv
@@ -210,6 +209,11 @@ _CHUNK = 4096
 # bins is one block.
 _DEPOSIT_CELLS = 1 << 20
 
+# Most pairs a sampled run draws: it holds 8 bytes of indices per pair and 8
+# bytes per pair and level for the standard error, about 320 MB with the
+# three levels of `channel_table`.  Exact runs stream and have no cap.
+MAX_SAMPLED_PAIRS = 10**7
+
 # numpy adds a contiguous float64 array by pairwise summation: a range of more
 # than this many elements splits at half its length, rounded down to a
 # multiple of 8, and a range of at most this many is summed as one block.
@@ -369,7 +373,8 @@ def pair_yields(species1, species2, channels, params, mc_config):
     yield_c = scale * sum_pairs w1 w2 * stat_weight_c * P_{kl(c)}(rel pair),
     where scale corrects for pair sampling (1 for full enumeration).  The
     report also carries per-channel standard errors (zero when enumerating)
-    and, when mc_config.pf_bins is set, final-momentum spectra.
+    and, when mc_config.pf_bins is set, final-momentum spectra.  A sampled
+    run draws at most `MAX_SAMPLED_PAIRS` pairs, or raises ValueError.
 
     Pairs are built, evaluated and deposited a leaf of at most `_CHUNK` at a
     time, along the tree of numpy's pairwise summation (`_pairwise`).  Exact
@@ -394,6 +399,11 @@ def pair_yields(species1, species2, channels, params, mc_config):
         scale = 1.0
         mode = "exact"
     else:
+        if mc_config.max_pairs > MAX_SAMPLED_PAIRS:
+            raise ValueError(f"a pair budget of {mc_config.max_pairs} would sample that many "
+                             f"of {total_pairs} pairs; sampled runs take at most "
+                             f"{MAX_SAMPLED_PAIRS} (a budget of {total_pairs} runs them all "
+                             "exactly)")
         rng = np.random.default_rng(mc_config.seed)
         flat = rng.integers(0, total_pairs, size=mc_config.max_pairs)
         npairs = len(flat)
@@ -413,8 +423,6 @@ def pair_yields(species1, species2, channels, params, mc_config):
     if edges is not None:
         edges = np.asarray(edges)
     smeared = edges is not None and mc_config.smear
-    # numpy sums the column of a single smeared bin pairwise: it adds up the tree
-    column = smeared and len(edges) == 2
     sums = {}
     # One leaf's arrays, allocated once per call: w1 w2 P_kl per level (in
     # sampled mode every pair's, which the stderr needs), its masses, the
@@ -441,23 +449,17 @@ def pair_yields(species1, species2, channels, params, mc_config):
         masses = [np.multiply(pair_w, probs[lv], out=contrib[lv][rows]) for lv in levels]
         leaf_sums = [np.sum(m) for m in masses]
         if edges is not None:
-            part = {} if column else sums
             scaled = {lv: np.divide(np.multiply(scale, m, out=buf[:n]), common[lv], out=buf[:n])
                       for lv, m, buf in zip(levels, masses, mass_buf)}
-            _deposit(part, scaled, p1[i_idx, axis] + p2[j_idx, axis], edges, params, work)
-            if column:
-                leaf_sums += [part[lv][0] for lv in levels]
+            _deposit(sums, scaled, p1[i_idx, axis] + p2[j_idx, axis], edges, params, work)
         return np.array(leaf_sums)
 
-    # per level: the sum of w1 w2 P_kl, then the single smeared bin's sum
-    totals = dict(zip(levels, _pairwise(leaf, npairs, _CHUNK).reshape(-1, len(levels)).T))
-    if column:
-        sums = {lv: t[1:] for lv, t in totals.items()}
+    totals = dict(zip(levels, _pairwise(leaf, npairs, _CHUNK)))
 
     report = {}
     spectra = {}
     for level, chans in by_level.items():
-        unit = scale * float(totals[level][0]) / common[level]
+        unit = scale * float(totals[level]) / common[level]
         if mode == "sampled":
             sd = float(np.std(contrib[level], ddof=1)) if npairs > 1 else 0.0
             unit_err = scale * sd * math.sqrt(npairs) / common[level]
@@ -505,13 +507,13 @@ def _pairwise(leaf, n, limit):
 def _smear_workspace(rows, nbins):
     """The arrays of a smeared deposit of up to `rows` pairs into `nbins` bins.
 
-    Sized for one block: at most `_DEPOSIT_CELLS` // (nbins + 1) rows, but
-    all `rows` for a single bin, whose column must not be split.  A block's
-    (rows x edges) CDF values and then its [sums; rows] share the scratch.
+    Sized for one block of at most `_DEPOSIT_CELLS` // (nbins + 1) rows.  A
+    block's (rows x edges) CDF values and then its [sums; rows] share the
+    scratch.  The shares have at least two columns; a single bin's second
+    stays zero, so that numpy adds its rows in order as it does for more bins.
     """
-    if nbins > 1:
-        rows = min(rows, max(1, _DEPOSIT_CELLS // (nbins + 1)))
-    return np.empty((rows + 1) * (nbins + 1)), np.empty((rows, nbins))
+    rows = min(rows, max(1, _DEPOSIT_CELLS // (nbins + 1)))
+    return np.empty((rows + 1) * (nbins + 1)), np.zeros((rows, max(nbins, 2)))
 
 
 def _deposit(sums, masses, centers, edges, params, work):
@@ -524,9 +526,8 @@ def _deposit(sums, masses, centers, edges, params, work):
     `_smear_workspace`, whose rows the chunk goes through block by block.
     Each bin adds its pairs in order, as one pass over all pairs does: a
     sharp deposit by `np.add.at`, a smeared one by summing [sums; rows]
-    down axis 0, which numpy does row by row for two or more bins.  numpy
-    sums the column of a single bin pairwise, so its chunk is one block,
-    and `pair_yields` deposits each leaf of its tree into an empty `sums`.
+    down axis 0, which numpy does row by row for two or more columns (a
+    single bin has a zero second column for that).
     """
     nbins = len(edges) - 1
     if work is None:
@@ -549,14 +550,14 @@ def _deposit(sums, masses, centers, edges, params, work):
         erf(z, out=z)
         z += 1.0
         z *= 0.5
-        np.subtract(z[:, 1:], z[:, :-1], out=share[:n])
-        buf = scratch[: (n + 1) * nbins].reshape(n + 1, nbins)
+        np.subtract(z[:, 1:], z[:, :-1], out=share[:n, :nbins])
+        buf = scratch[: (n + 1) * share.shape[1]].reshape(n + 1, -1)
         for key, m in masses.items():
             rows = np.multiply(m[lo:hi, None], share[:n], out=buf[1 : n + 1])
             if key in sums:
-                buf[0] = sums[key]
+                buf[0, :nbins] = sums[key]
                 rows = buf[: n + 1]
-            sums[key] = rows.sum(axis=0)
+            sums[key] = rows.sum(axis=0)[:nbins]
 
 
 def spectrum(pf_bin_edges, pairs, channel, params, smear=True, axis=2):

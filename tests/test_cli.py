@@ -231,6 +231,14 @@ class TestWignerCommand:
         )
         assert code == EXIT_OK and out.exists()
 
+    @pytest.mark.parametrize("k, l", [(6, 0), (3, 6), (0, 12)])
+    def test_verify_at_shell_cap(self, k, l, tmp_path):
+        # the grid against the factorized sum at the largest shell the CLI accepts
+        out = tmp_path / "w.dat"
+        code = run(["wigner", "--k", str(k), "--l", str(l), "--verify",
+                    "--grid", "r:0:4:9,q:0:4:9", "--out", str(out)])
+        assert code == EXIT_OK and out.exists()
+
 
 class TestProbCommand:
     def test_table_round_trip_and_values(self, tmp_path):
@@ -276,6 +284,12 @@ class TestProbCommand:
             ["prob", "--k", "1", "--l", "0", "--zeta", "2.0", "--verify",
              "--grid", "r:0:2:4,p:0:2:4,theta:0,0.9", "--out", str(out)]
         )
+        assert code == EXIT_OK and out.exists()
+
+    def test_verify_at_shell_cap(self, tmp_path):
+        out = tmp_path / "p.dat"
+        code = run(["prob", "--k", "0", "--l", "12", "--zeta", "0.25", "--verify",
+                    "--grid", "r:0:3:5,p:0:3:5", "--out", str(out)])
         assert code == EXIT_OK and out.exists()
 
     @pytest.mark.parametrize("levels", [["--k", "1", "--l", "-1"], ["--k", "-1", "--l", "0"]],
@@ -441,6 +455,24 @@ class TestYieldsCommand:
         assert run(["yields", "--particles", str(parts), "--params", str(pjson)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(
             "error: line 2: field larger than field limit (131072)")
+
+    def test_sampled_budget_cap(self, tmp_path, monkeypatch, capsys):
+        # 20 x 20 pairs with the cap at 100: sampling 150 of them fails before
+        # any draw, a budget of all 400 runs exact and uncapped
+        parts = tmp_path / "parts.csv"
+        rows = (f"{s},{i / 10},0,0,0,{i / 20},0\n" for s in ("u", "dbar") for i in range(20))
+        parts.write_text("species,rx,ry,rz,px,py,pz\n" + "".join(rows))
+        pjson = tmp_path / "params.json"
+        pjson.write_text('{"nu": 1.0, "delta": 0.5}')
+        out = tmp_path / "rep.json"
+        monkeypatch.setattr("oscoal.yields.MAX_SAMPLED_PAIRS", 100)
+        monkeypatch.setattr("oscoal.yields.np.random.default_rng", _must_not_compute)
+        argv = ["yields", "--particles", str(parts), "--params", str(pjson), "--out", str(out)]
+        assert run([*argv, "--budget", "150"]) == EXIT_USAGE
+        assert "sampled runs take at most 100" in capsys.readouterr().err
+        assert not out.exists()
+        assert run([*argv, "--budget", "400"]) == EXIT_OK
+        assert json.loads(out.read_text())["mc"] == {"seed": 0, "pairs": 400, "mode": "exact"}
 
     def test_missing_file_is_io_error(self, tmp_path):
         pjson = tmp_path / "params.json"

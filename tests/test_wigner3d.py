@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import random_rotation
 from oscoal.coalescence import PhasePoint, canonical_points, p_kl_batch, shell_states, v_and_t
-from oscoal.expansion import Ame, coeff, degenerate_subspace, psi_klm
+from oscoal.expansion import Ame, _coeff_matrix, coeff, degenerate_subspace, psi_klm
 from oscoal.gridio import read_wigner_grid, write_wigner_grid
 from oscoal.ho1d import OscParams, phi_n
 from oscoal.specfun import _gh_grid, double_factorial
@@ -15,8 +16,10 @@ from oscoal.wigner3d import (
     CLOSED_FORM_STATES,
     PhasePoint3D,
     REFERENCE_TABULATION,
+    _circular_weights,
     _derive_et,
     _husimi_input,
+    _laguerre_values,
     _laplacian_et,
     _normalization_exact,
     _normalization_quadrature,
@@ -271,7 +274,7 @@ class TestEvaluator:
             got = export_grid(k, l, ax, ax, theta, params).values * math.pi**3
             for idx in np.ndindex(got.shape):
                 worst = max(worst, abs(got[idx] - _exact_w(k, l, float(E[idx]), float(T[idx]))))
-        assert worst <= 5e-14
+        assert worst <= 2e-15
 
     def test_point_accuracy_every_level(self, rng):
         p = OscParams(nu=1.3, delta=0.3, hbar=0.9)
@@ -282,7 +285,35 @@ class TestEvaluator:
             got = wigner_kl_closed(k, l, r, q, p) * (math.pi * p.hbar) ** 3
             for i in range(len(v)):
                 worst = max(worst, abs(got[i] - _exact_w(k, l, 2.0 * v[i], t[i])))
-        assert worst <= 5e-14
+        assert worst <= 2e-15
+
+    def test_bounded_by_one(self, rng):
+        # |e^{-u/2} L_n(u)| <= 1 and sum_ab w_ab = 2l + 1 give |pi^3 hbar^3 W| <= 1,
+        # reached at the origin, where W = (-1)^N/(pi hbar)^3
+        p = OscParams(nu=1.3, delta=0.3, hbar=0.9)
+        scale = (math.pi * p.hbar) ** 3
+        r, q = rng.normal(scale=1.5, size=(2, 400, 3))
+        ax = np.linspace(0.0, 5.0, 21)
+        theta = rng.uniform(0.0, math.pi, 7)
+        for k, l in ALL_LEVELS:
+            points = wigner_kl_closed(k, l, r, q, p) * scale
+            grid = export_grid(k, l, ax, ax, theta, p).values * scale
+            assert max(np.max(np.abs(points)), np.max(np.abs(grid))) <= 1 + 1e-15, (k, l)
+            origin = wigner_kl_closed(k, l, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), p) * scale
+            assert origin == pytest.approx((-1) ** (2 * k + l), abs=1e-15)
+            assert grid[0, 0, 0] == pytest.approx((-1) ** (2 * k + l), abs=1e-15)
+
+    def test_parallel_points(self, params, rng):
+        # q parallel to r: t is the square of a cross product, never ab - c,
+        # whose rounding can go negative under the square root
+        r = rng.normal(size=(300, 3))
+        s = rng.uniform(-2.0, 2.0, (300, 1))
+        norm = np.linalg.norm(r, axis=1)
+        zero = np.zeros(300)
+        on_axis = np.column_stack([norm, zero, zero]), np.column_stack([s[:, 0] * norm, zero, zero])
+        for k, l in ((1, 3), (0, 12)):
+            got = wigner_kl_closed(k, l, r, s * r, params)
+            assert np.max(np.abs(got - wigner_kl_closed(k, l, *on_axis, params))) * math.pi**3 <= 1e-14
 
     def test_points_batch_matches_single_bitwise(self, params, rng):
         r, q = rng.uniform(-2.0, 2.0, (2, 20, 3))
@@ -466,8 +497,16 @@ class TestDerivation:
     @pytest.mark.parametrize("N", range(13))
     def test_shell_sum_rule(self, N):
         # sum_{2k+l=N} (2l+1) W_kl / W_00 = (-1)^N L_N^(2)(2(a+b)), the
-        # Wigner function of the shell projector
+        # Wigner function of the shell projector: on the circular weights, and
+        # on the (E, T) form against the projector's Laguerre coefficients
         assert _shell_trace_residue(N) == {}
+        out = defaultdict(Fraction)
+        for k, l in shell_states(N):
+            for key, cf in _derive_et(k, l).items():
+                out[key] += (2 * l + 1) * cf
+        for m in range(N + 1):
+            out[(m, 0)] -= F((-1) ** (N + m) * math.comb(N + 2, N - m) * 2**m, math.factorial(m))
+        assert {key: c for key, c in out.items() if c} == {}
 
     def test_rejects_negative_quantum_numbers(self):
         for k, l in ((1, -1), (-1, 2)):
@@ -501,7 +540,86 @@ def _abc_integral_quadrature(poly):
     return float(w3 @ vals @ w3) / math.pi**3
 
 
+def _circular_in_cartesian(p, q):
+    """{(nx, ny): <nx, ny | p, q>} of the circular state (A+^dag)^p (A-^dag)^q |0> / sqrt(p! q!).
+
+    A+- = (A_x -+ i A_y)/sqrt(2), so A+^dag = (A_x^dag + i A_y^dag)/sqrt(2).
+    """
+    out = defaultdict(complex)
+    norm = math.sqrt(math.factorial(p) * math.factorial(q) * 2 ** (p + q))
+    for i in range(p + 1):
+        for j in range(q + 1):
+            nx, ny = i + j, p + q - i - j
+            out[(nx, ny)] += (math.comb(p, i) * math.comb(q, j) * 1j ** (p - i) * (-1j) ** (q - j)
+                              * math.sqrt(math.factorial(nx) * math.factorial(ny)) / norm)
+    return out
+
+
+class TestCircularWeights:
+    @pytest.mark.parametrize("N", range(13))
+    def test_positive_symmetric_banded_mixture(self, N):
+        # w_ab = sum_m |<k l m | a, b, N - a - b>|^2 over the circular modes,
+        # so n+ - n- = m: nonnegative, symmetric, |a - b| <= l, a + b <= N
+        for k, l in shell_states(N):
+            w = _circular_weights(k, l)[0]
+            assert all(isinstance(c, Fraction) and c > 0 for c in w.values()), (k, l)
+            assert all(w.get((b, a)) == c for (a, b), c in w.items()), (k, l)
+            assert all(abs(a - b) <= l and a + b <= N for a, b in w), (k, l)
+            assert sum(w.values()) == 2 * l + 1, (k, l)
+
+    @pytest.mark.parametrize("N", range(9))
+    def test_weights_are_circular_populations(self, N):
+        # the oracle, from the expansion coefficients instead of the Husimi
+        # route: w_ab = sum_m |<a, b, N - a - b | k l m>|^2 in the cylindrical
+        # basis; N <= 8 keeps the coefficient tables under 0.3 s
+        triples = degenerate_subspace(N)
+        column = {(t.n1, t.n2, t.n3): i for i, t in enumerate(triples)}
+        states = [(a, b) for a in range(N + 1) for b in range(N + 1 - a)]
+        basis = np.zeros((len(states), len(triples)), dtype=complex)  # <n1 n2 n3 | a, b, n_z>
+        for row, (a, b) in enumerate(states):
+            for (nx, ny), c in _circular_in_cartesian(a, b).items():
+                basis[row, column[(nx, ny, N - a - b)]] = c
+        for k, l in shell_states(N):
+            got = np.sum(np.abs(_coeff_matrix(k, l)[1] @ basis.conj().T) ** 2, axis=0)
+            w = _circular_weights(k, l)[0]
+            expected = [float(w.get(ab, 0)) for ab in states]
+            assert np.max(np.abs(got - expected)) <= 1e-12, (k, l)
+
+    def test_float_rows_are_rounded_weights(self):
+        for k, l in ALL_LEVELS:
+            w, rows = _circular_weights(k, l)
+            floats = {(a, b): f for a, row in rows for b, f in row}
+            sign = (-1) ** (2 * k + l)
+            assert floats == {key: float(sign * c / (2 * l + 1)) for key, c in w.items()}
+
+    def test_laguerre_recurrence(self):
+        u = np.array([0.0, 0.5, 3.0, 17.25])
+        for n, values in enumerate(_laguerre_values(12, u)):
+            ref = [sum(F((-1) ** j * math.comb(n, j), math.factorial(j)) * F(x) ** j
+                       for j in range(n + 1)) for x in u.tolist()]
+            assert np.max(np.abs(values - np.array([float(c) for c in ref]))) <= 1e-13 * n
+
+
 class TestNormalization:
+    def test_pair_integrals(self):
+        # the identity behind `_normalization_exact`: the W_00 mean of
+        # sym[L_a(u+) L_b(u-)] is 1 for a = b and (-1)^d 2d for d = |a - b| > 0;
+        # 9 nodes integrate degree 2(a + b) <= 16 exactly
+        tt, w3 = _gh_grid(9)
+        a = np.sum(tt * tt, axis=1)
+        cross = np.cross(tt[:, None, :], tt[None, :, :])
+        t, c = np.sum(cross * cross, axis=-1), (tt @ tt.T) ** 2
+        e = a[:, None] + a[None, :]
+        up = e + 2.0 * np.sqrt(t)
+        um = np.divide((a[:, None] - a[None, :]) ** 2 + 4.0 * c, up,
+                       out=np.zeros_like(up), where=up > 0)
+        lp, lm = _laguerre_values(4, up), _laguerre_values(4, um)
+        for i in range(5):
+            for j in range(i, 5):
+                mean = float(w3 @ (lp[i] * lm[j] + lp[j] * lm[i]) @ w3) / (2 * math.pi**3)
+                d = j - i
+                assert mean == pytest.approx(1 if d == 0 else (-1) ** d * 2 * d, abs=1e-12), (i, j)
+
     def test_phase_space_integral_is_one(self):
         # quadrature of the evaluator behind `wigner`, exact up to roundoff for N <= 5
         for N in range(6):
@@ -509,7 +627,7 @@ class TestNormalization:
                 assert _normalization_quadrature(k, l) == pytest.approx(1.0, abs=1e-13), (k, l)
 
     def test_exact_integral_is_one(self):
-        # every level the CLI accepts, by the (E, T) moments and by the (a, b, c) oracle
+        # every level the CLI accepts, by the circular weights and by the (a, b, c) oracle
         for k, l in ALL_LEVELS:
             assert _normalization_exact(k, l) == 1, (k, l)
             assert _abc_integral_exact(derive_invariant_poly(k, l)) == 1, (k, l)
@@ -567,6 +685,21 @@ class TestExportGrid:
                 pt = PhasePoint.from_invariants(grid.r_axis[i], grid.q_axis[j], 0.5)
                 ref = wigner_kl(0, 4, pt, params)
                 assert grid.values[i, j, 0] == pytest.approx(ref, abs=1e-12)
+
+    def test_temporaries_bounded(self, params):
+        # 300 x 300 x 5 cells at N = 12, whose values take 3.6 MB: the evaluator
+        # works on slabs of SLAB_CELLS cells, the node lines on one theta slice
+        ax = np.linspace(0.0, 4.0, 300)
+        theta = [0.0, 0.3, 0.7, 1.1, 1.5]
+        export_grid(0, 12, ax[:2], ax[:2], theta, params)  # the weights, outside the trace
+        tracemalloc.start()
+        try:
+            grid = export_grid(0, 12, ax, ax, theta, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - grid.values.nbytes
+        assert extra < 4e6, f"temporaries {extra / 1e6:.1f} MB"
 
     def test_rejects_bad_axes(self, params):
         with pytest.raises(ValueError):

@@ -410,7 +410,7 @@ class TestStreaming:
         "sampled-sharp": MCConfig(seed=4, max_pairs=300, pf_bins=tuple(np.linspace(-2, 2, 11))),
         "sampled-smeared": MCConfig(seed=4, max_pairs=300, pf_bins=tuple(np.linspace(-2, 2, 7)),
                                     smear=True),
-        # numpy sums a single column pairwise, which row-by-row chunks would not match
+        # one bin: numpy would sum a single column pairwise, not in pair order
         "one-bin-smeared": MCConfig(seed=4, pf_bins=(-1.0, 1.5), smear=True),
         "two-bin-smeared": MCConfig(seed=4, pf_bins=(-1.0, 0.0, 1.5), smear=True),
         # 600 bins: a smeared deposit takes a leaf in blocks of 1744 rows
@@ -438,8 +438,9 @@ class TestStreaming:
     @pytest.mark.parametrize("edges", [np.linspace(-2, 2, 9), np.array([-1.0, 1.5])],
                              ids=["eight-bins", "one-bin"])
     def test_one_pass_sums(self, params, rng, monkeypatch, edges):
-        # the sums of one unchunked pass: numpy pairwise sums for the yields, an
-        # axis-0 sum for the smeared spectrum (row by row, or pairwise for one bin)
+        # the sums of one unchunked pass: numpy pairwise sums for the yields,
+        # and for the smeared spectrum an axis-0 sum, which numpy does row by
+        # row for several bins, and an in-order sum from +0.0 for one bin
         us, ds = random_ensembles(rng, 20, 25)
         monkeypatch.setattr(yields, "_CHUNK", 7)
         rep = pair_yields(us, ds, channel_table(), params,
@@ -454,7 +455,13 @@ class TestStreaming:
         centers = np.array([a.p[1] + b.p[1] for a, b in pairs])
         cdf = 0.5 * (1.0 + erf((edges[None, :] - centers[:, None]) * (params.delta / params.hbar)))
         masses = contrib / 108
-        dens = (masses[:, None] * np.diff(cdf, axis=1)).sum(axis=0) / np.diff(edges)
+        rows = masses[:, None] * np.diff(cdf, axis=1)
+        sums = rows.sum(axis=0)
+        if len(edges) == 2:
+            sums = np.zeros(1)
+            for row in rows:
+                sums = sums + row
+        dens = sums / np.diff(edges)
         assert rep.spectra["a0+"]["values"] == dens.tolist()
         assert rep.spectra["a2+"]["values"] == (5 * dens).tolist()
 
