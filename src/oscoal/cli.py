@@ -116,16 +116,16 @@ def parse_grid_spec(spec, radial_names=("r", "q")):
     while i < len(tokens):
         tok = tokens[i]
         if tok.startswith("theta:"):
-            vals = [tok[len("theta:"):]] + tokens[i + 1 :]
-            thetas = np.array([float(v) for v in vals if v != ""])
+            tok = ",".join(tokens[i:])
+            thetas = np.array([_number(float, v, tok) for v in tok[len("theta:"):].split(",") if v])
             if not len(thetas) or not np.all(np.isfinite(thetas)):
                 raise _UsageError(f"theta list must be nonempty and finite in {spec!r}")
             break
         name, *rest = tok.split(":")
         if name not in radial_names or len(rest) != 3 or name in axes:
             raise _UsageError(f"bad or repeated grid token {tok!r}")
-        lo, hi = float(rest[0]), float(rest[1])
-        n = int(rest[2])
+        lo, hi = (_number(float, v, tok) for v in rest[:2])
+        n = _number(int, rest[2], tok)
         if n < 2 or not 0 < hi - lo < math.inf:
             raise _UsageError(f"bad grid range in {tok!r}")
         _check_rows(n, f"grid token {tok!r}")
@@ -136,6 +136,14 @@ def parse_grid_spec(spec, radial_names=("r", "q")):
     if thetas is None:
         thetas = np.array(DEFAULT_THETAS)
     return axes, thetas
+
+
+def _number(kind, text, tok):
+    """`kind(text)`, or a usage error naming `text` and its grid token `tok`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise _UsageError(f"grid token {tok!r}: cannot read {text!r} as {kind.__name__}") from None
 
 
 def _emit(text, out):

@@ -29,12 +29,11 @@ array of one value per pair, down to leaves of at most `_CHUNK` pairs.  Each
 leaf builds its relative coordinates, evaluates `p_kl_batch`, deposits its
 spectra and returns the sums of its w1 w2 P_kl per level, and the walk adds
 those up the tree, so every yield is bit for bit the `np.sum` over all pairs.
-A smeared deposit takes its rows in blocks of at most `_DEPOSIT_CELLS`
-cells through one workspace per call.  Exact mode holds nothing per pair;
-sampled mode holds one float per pair and level, which the standard error
-(`np.std`) takes whole, and the drawn pair indices.
-Spectrum bins add their pairs in pair order, leaf after leaf, so the
-report is the same bytes for every `_CHUNK`.
+A sampled run draws its pairs leaf by leaf, and its standard error is a
+second walk that redraws them (`_pairwise_std`); no mode holds anything per
+pair.  A smeared deposit takes its rows in blocks of at most `_DEPOSIT_CELLS`
+cells through one workspace per call.  Spectrum bins add their pairs in pair
+order, leaf after leaf, so the report is the same bytes for every `_CHUNK`.
 """
 
 import csv
@@ -136,6 +135,10 @@ class MCConfig:
     smear: bool = False
 
     def __post_init__(self):
+        for name, value in (("seed", self.seed), ("max_pairs", self.max_pairs)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers are not JSON
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_pairs <= 0:
@@ -208,11 +211,6 @@ _CHUNK = 4096
 # array of its workspace near 8 MB.  A leaf of `_CHUNK` pairs at up to 255
 # bins is one block.
 _DEPOSIT_CELLS = 1 << 20
-
-# Most pairs a sampled run draws: it holds 8 bytes of indices per pair and 8
-# bytes per pair and level for the standard error, about 320 MB with the
-# three levels of `channel_table`.  Exact runs stream and have no cap.
-MAX_SAMPLED_PAIRS = 10**7
 
 # numpy adds a contiguous float64 array by pairwise summation: a range of more
 # than this many elements splits at half its length, rounded down to a
@@ -373,15 +371,15 @@ def pair_yields(species1, species2, channels, params, mc_config):
     yield_c = scale * sum_pairs w1 w2 * stat_weight_c * P_{kl(c)}(rel pair),
     where scale corrects for pair sampling (1 for full enumeration).  The
     report also carries per-channel standard errors (zero when enumerating)
-    and, when mc_config.pf_bins is set, final-momentum spectra.  A sampled
-    run draws at most `MAX_SAMPLED_PAIRS` pairs, or raises ValueError.
+    and, when mc_config.pf_bins is set, final-momentum spectra.
 
     Pairs are built, evaluated and deposited a leaf of at most `_CHUNK` at a
-    time, along the tree of numpy's pairwise summation (`_pairwise`).  Exact
-    mode keeps nothing per pair; sampled mode keeps one float per pair and
-    level (w1 w2 P_kl, for the standard error) and the drawn pair indices.
-    Every sum adds the pairs as one `np.sum` or one pass over all of them
-    does, so the report does not depend on `_CHUNK`.
+    time, along the tree of numpy's pairwise summation (`_pairwise`).  Leaf
+    [lo, hi) takes pairs lo to hi - 1 when exact and draws hi - lo pairs from
+    `np.random.default_rng(seed)` when sampled, in walk order: one draw's
+    stream.  The standard error walks again and evaluates every drawn pair a
+    second time.  Nothing is kept per pair, and every sum adds the pairs as
+    one `np.sum` or one pass does, so the report does not depend on `_CHUNK`.
     """
     if not species1 or not species2:
         raise ValueError("both species lists must be nonempty")
@@ -390,25 +388,14 @@ def pair_yields(species1, species2, channels, params, mc_config):
     if tags1 & tags2:
         raise ValueError(f"species lists overlap in tags {sorted(tags1 & tags2)}")
     channels = list(channels)
-    n1, n2 = len(w1), len(w2)
-    total_pairs = n1 * n2
+    n2 = len(w2)
+    total_pairs = len(w1) * n2
 
-    if total_pairs <= mc_config.max_pairs:
-        flat = None
-        npairs = total_pairs
-        scale = 1.0
-        mode = "exact"
-    else:
-        if mc_config.max_pairs > MAX_SAMPLED_PAIRS:
-            raise ValueError(f"a pair budget of {mc_config.max_pairs} would sample that many "
-                             f"of {total_pairs} pairs; sampled runs take at most "
-                             f"{MAX_SAMPLED_PAIRS} (a budget of {total_pairs} runs them all "
-                             "exactly)")
-        rng = np.random.default_rng(mc_config.seed)
-        flat = rng.integers(0, total_pairs, size=mc_config.max_pairs)
-        npairs = len(flat)
-        scale = total_pairs / mc_config.max_pairs
-        mode = "sampled"
+    npairs = min(total_pairs, mc_config.max_pairs)
+    scale = total_pairs / npairs
+    mode = "exact" if npairs == total_pairs else "sampled"
+    # exact runs never create a generator, nor import numpy.random
+    rng = None if mode == "exact" else np.random.default_rng(mc_config.seed)
 
     # Channels of one level share a base sum and a base spectrum scaled by a
     # common denominator, so their yields and spectra are exact small-integer
@@ -419,25 +406,24 @@ def pair_yields(species1, species2, channels, params, mc_config):
     levels = sorted(by_level)
     common = {lv: math.lcm(*(c.stat_weight.denominator for c in chans))
               for lv, chans in by_level.items()}
-    edges, axis = mc_config.pf_bins, mc_config.pf_axis
-    if edges is not None:
-        edges = np.asarray(edges)
-    smeared = edges is not None and mc_config.smear
+    edges = None if mc_config.pf_bins is None else np.asarray(mc_config.pf_bins)
+    axis = mc_config.pf_axis
     sums = {}
-    # One leaf's arrays, allocated once per call: w1 w2 P_kl per level (in
-    # sampled mode every pair's, which the stderr needs), its masses, the
-    # pair indices, the relative coordinates and the smeared deposit's workspace.
+    # One leaf's arrays, allocated once per call: w1 w2 P_kl per level and
+    # its scaled masses, the pair indices, the relative coordinates and the
+    # smeared deposit's workspace.
     width = max(_CHUNK, _PAIRWISE_BLOCK)
+    smeared = edges is not None and mc_config.smear
     work = _smear_workspace(width, len(edges) - 1) if smeared else None
-    contrib = {lv: np.empty(width if flat is None else npairs) for lv in levels}
-    mass_buf = np.empty((len(levels), width))
+    mass_buf, scaled_buf = np.empty((2, len(levels), width))
     index = np.empty((2, width), dtype=np.intp)
     coords = np.empty((3, width, 3))
 
-    def leaf(lo, hi):
+    def leaf_masses(lo, hi, deposit):
+        """The w1 w2 P_kl per level of the pairs of leaf [lo, hi), deposited if `deposit`."""
         n = hi - lo
-        i_idx, j_idx = np.divmod(np.arange(lo, hi) if flat is None else flat[lo:hi], n2,
-                                 out=tuple(index[:, :n]))
+        pairs = np.arange(lo, hi) if rng is None else rng.integers(0, total_pairs, size=n)
+        i_idx, j_idx = np.divmod(pairs, n2, out=tuple(index[:, :n]))
         # the indices are in range: with mode "clip", `take` writes straight to `out`
         rel_r, rel_p, other = coords[:, :n]
         np.subtract(r1.take(i_idx, 0, rel_r, "clip"), r2.take(j_idx, 0, other, "clip"), out=rel_r)
@@ -445,26 +431,27 @@ def pair_yields(species1, species2, channels, params, mc_config):
         rel_p *= 0.5
         probs = p_kl_batch(levels, rel_r, rel_p, params)
         pair_w = w1[i_idx] * w2[j_idx]
-        rows = slice(0, n) if flat is None else slice(lo, hi)
-        masses = [np.multiply(pair_w, probs[lv], out=contrib[lv][rows]) for lv in levels]
-        leaf_sums = [np.sum(m) for m in masses]
-        if edges is not None:
+        masses = [np.multiply(pair_w, probs[lv], out=buf[:n]) for lv, buf in zip(levels, mass_buf)]
+        if deposit and edges is not None:
             scaled = {lv: np.divide(np.multiply(scale, m, out=buf[:n]), common[lv], out=buf[:n])
-                      for lv, m, buf in zip(levels, masses, mass_buf)}
+                      for lv, m, buf in zip(levels, masses, scaled_buf)}
             _deposit(sums, scaled, p1[i_idx, axis] + p2[j_idx, axis], edges, params, work)
-        return np.array(leaf_sums)
+        return masses
 
-    totals = dict(zip(levels, _pairwise(leaf, npairs, _CHUNK)))
+    totals = _pairwise(lambda lo, hi: np.array([np.sum(m) for m in leaf_masses(lo, hi, True)]),
+                       npairs, _CHUNK)
+    sds = np.zeros(len(levels))
+    if mode == "sampled" and npairs > 1:
+        # a fresh generator: the second walk's leaves draw the first walk's pairs
+        rng = np.random.default_rng(mc_config.seed)
+        sds = _pairwise_std(lambda lo, hi: leaf_masses(lo, hi, False), totals, npairs, _CHUNK)
+    totals, sds = dict(zip(levels, totals)), dict(zip(levels, sds))
 
     report = {}
     spectra = {}
     for level, chans in by_level.items():
         unit = scale * float(totals[level]) / common[level]
-        if mode == "sampled":
-            sd = float(np.std(contrib[level], ddof=1)) if npairs > 1 else 0.0
-            unit_err = scale * sd * math.sqrt(npairs) / common[level]
-        else:
-            unit_err = 0.0
+        unit_err = scale * float(sds[level]) * math.sqrt(npairs) / common[level]
         if edges is not None:
             unit_dens = sums[level] / np.diff(edges)
         for c in chans:
@@ -472,12 +459,8 @@ def pair_yields(species1, species2, channels, params, mc_config):
             report[c.name] = ChannelYield(num * unit, num * unit_err)
             if edges is not None:
                 spectra[c.name] = {"edges": edges.tolist(), "values": (num * unit_dens).tolist()}
-    ordered = {c.name: report[c.name] for c in channels}
-    return YieldReport(
-        channels=ordered,
-        spectra=spectra,
-        mc={"seed": mc_config.seed, "pairs": npairs, "mode": mode},
-    )
+    return YieldReport(channels={c.name: report[c.name] for c in channels}, spectra=spectra,
+                       mc={"seed": mc_config.seed, "pairs": npairs, "mode": mode})
 
 
 def _pairwise(leaf, n, limit):
@@ -502,6 +485,21 @@ def _pairwise(leaf, n, limit):
         return walk(lo, lo + half) + walk(lo + half, hi)
 
     return walk(0, n)
+
+
+def _pairwise_std(leaf, totals, n, limit):
+    """The `np.std(ddof=1)` of n >= 2 per-element arrays whose `_pairwise` sums are `totals`.
+
+    `leaf(lo, hi)` returns the elements [lo, hi) of each array.  A second walk
+    repeats `np.std` operation for operation: the mean total / n, the pairwise
+    sum of the squared deviations, the division by n - 1 and the square root.
+    """
+    means = totals / n
+
+    def squares(lo, hi):
+        return np.array([np.sum(np.square(a - mu)) for a, mu in zip(leaf(lo, hi), means)])
+
+    return np.sqrt(_pairwise(squares, n, limit) / (n - 1))
 
 
 def _smear_workspace(rows, nbins):

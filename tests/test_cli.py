@@ -49,7 +49,8 @@ class TestGridSpec:
         from oscoal.cli import _UsageError
 
         for spec in ("x:0:1:3", "theta:", "r:0:1:3,theta:", "theta:nan", "theta:0,inf",
-                     "r:0:1:3,r:0:2:3", "r:0:nan:3", "r:-inf:1:3", "r:1:1:3", "r:0:1:1"):
+                     "r:0:1:3,r:0:2:3", "r:0:nan:3", "r:-inf:1:3", "r:1:1:3", "r:0:1:1",
+                     "r:0:1:1e3", "r:0:a:3", "theta:abc", "theta:0,x"):
             with pytest.raises(_UsageError):
                 parse_grid_spec(spec)
 
@@ -456,21 +457,16 @@ class TestYieldsCommand:
         assert capsys.readouterr().err.startswith(
             "error: line 2: field larger than field limit (131072)")
 
-    def test_sampled_budget_cap(self, tmp_path, monkeypatch, capsys):
-        # 20 x 20 pairs with the cap at 100: sampling 150 of them fails before
-        # any draw, a budget of all 400 runs exact and uncapped
+    def test_sampled_budget_cap(self, tmp_path, monkeypatch):
+        # 20 x 20 pairs: a budget of all 400 runs exact and draws nothing
         parts = tmp_path / "parts.csv"
         rows = (f"{s},{i / 10},0,0,0,{i / 20},0\n" for s in ("u", "dbar") for i in range(20))
         parts.write_text("species,rx,ry,rz,px,py,pz\n" + "".join(rows))
         pjson = tmp_path / "params.json"
         pjson.write_text('{"nu": 1.0, "delta": 0.5}')
         out = tmp_path / "rep.json"
-        monkeypatch.setattr("oscoal.yields.MAX_SAMPLED_PAIRS", 100)
         monkeypatch.setattr("oscoal.yields.np.random.default_rng", _must_not_compute)
         argv = ["yields", "--particles", str(parts), "--params", str(pjson), "--out", str(out)]
-        assert run([*argv, "--budget", "150"]) == EXIT_USAGE
-        assert "sampled runs take at most 100" in capsys.readouterr().err
-        assert not out.exists()
         assert run([*argv, "--budget", "400"]) == EXIT_OK
         assert json.loads(out.read_text())["mc"] == {"seed": 0, "pairs": 400, "mode": "exact"}
 

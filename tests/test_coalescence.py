@@ -91,6 +91,27 @@ class TestInvariants:
         _, t = v_and_t(r, p, params)
         assert t == pytest.approx(1e-18, rel=1e-6)
 
+    @pytest.mark.parametrize("nu, hbar", [(1.0, 1.0), (1.3, 0.9), (0.37, 2.6)])
+    def test_matches_exact_rational_arithmetic(self, rng, nu, hbar):
+        # against v and t in Fractions of the same float inputs: v within 4 eps
+        # relative, t within 4 eps |r|^2 |p|^2 / hbar^2; every other p nearly
+        # parallel to its r, where t cancels most
+        n = 2000
+        r_vecs = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        p_vecs = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        p_vecs[::2] = (r_vecs[::2] * rng.uniform(-2, 2, (n // 2, 1))
+                       + p_vecs[::2] * 10.0 ** rng.uniform(-12, -4, (n // 2, 1)))
+        v, t = v_and_t(r_vecs, p_vecs, OscParams(nu=nu, delta=0.5, hbar=hbar))
+        bound = 4 * Fraction(np.finfo(float).eps)
+        f_nu, f_hbar = Fraction(nu), Fraction(hbar)
+        for rv, pv, v_got, t_got in zip(r_vecs.tolist(), p_vecs.tolist(), v.tolist(), t.tolist()):
+            (a, b, c), (x, y, z) = map(Fraction, rv), map(Fraction, pv)
+            rr, pp = a * a + b * b + c * c, x * x + y * y + z * z
+            v_exact = (f_nu**2 * rr + pp / (f_hbar * f_nu) ** 2) / 2
+            t_exact = ((b * z - c * y) ** 2 + (c * x - a * z) ** 2 + (a * y - b * x) ** 2) / f_hbar**2
+            assert abs(Fraction(v_got) - v_exact) <= bound * v_exact
+            assert abs(Fraction(t_got) - t_exact) <= bound * rr * pp / f_hbar**2
+
     def test_phase_point_helpers(self, params):
         a = WavePacket((1, 0, 0), (0, 1, 0), 0.5)
         b = WavePacket((0, 0, 0), (0, -1, 0), 0.5)

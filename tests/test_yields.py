@@ -513,6 +513,45 @@ class TestStreaming:
         assert rep.mc == {"seed": 0, "pairs": 1_000_000, "mode": "exact"}
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_sampled_yields_memory_bounded(self, params):
+        # 2e5 pairs drawn from 1e6: the drawn indices and one float per draw
+        # and level alone would be 6.4 MB
+        gen = np.random.default_rng(8)
+        tables = [yields.ParticleTable(np.full(1000, tag), gen.normal(0, 1.5, (1000, 3)),
+                                       gen.normal(0, 1, (1000, 3)), np.ones(1000))
+                  for tag in ("u", "dbar")]
+        cfg = MCConfig(max_pairs=200_000, pf_bins=tuple(np.linspace(-10, 10, 161)))
+        tracemalloc.start()
+        try:
+            rep = pair_yields(*tables, channel_table(), params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mc == {"seed": 0, "pairs": 200_000, "mode": "sampled"}
+        assert rep.channels["pi+"].stderr > 0
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("budget", [1, 2, 333, 499])
+    def test_sampled_one_draw(self, params, rng, monkeypatch, budget):
+        # the yields and standard errors of one draw of every pair number and
+        # whole per-pair arrays, summed by np.sum and np.std(ddof=1)
+        us, ds = random_ensembles(rng, 20, 25)
+        monkeypatch.setattr(yields, "_CHUNK", 7)
+        rep = pair_yields(us, ds, channel_table(), params, MCConfig(seed=11, max_pairs=budget))
+        assert rep.mc == {"seed": 11, "pairs": budget, "mode": "sampled"}
+        i, j = np.divmod(np.random.default_rng(11).integers(0, 500, size=budget), 25)
+        (r1, p1, w1), (r2, p2, w2) = (
+            (np.array([x.r for x in xs]), np.array([x.p for x in xs]),
+             np.array([x.weight for x in xs])) for xs in (us, ds))
+        probs = p_kl_batch([(0, 0), (0, 1)], r1[i] - r2[j], 0.5 * (p1[i] - p2[j]), params)
+        scale = 500 / budget
+        # pi+ is 1 of the (0, 0) unit 1/36, b1+ 3 of the (0, 1) unit 1/108
+        for name, level, num, common in (("pi+", (0, 0), 1, 36), ("b1+", (0, 1), 3, 108)):
+            contrib = w1[i] * w2[j] * probs[level]
+            sd = float(np.std(contrib, ddof=1)) if budget > 1 else 0.0
+            assert rep.channels[name].value == num * (scale * float(np.sum(contrib)) / common)
+            assert rep.channels[name].stderr == num * (scale * sd * math.sqrt(budget) / common)
+
 
 class TestPairwiseWalk:
     """`yields._pairwise` adds leaf sums as numpy's pairwise `np.sum` adds the elements.
@@ -525,16 +564,20 @@ class TestPairwiseWalk:
     LENGTHS = sorted({*range(1, 301), *range(4090, 4111),
                       *(2**k + d for k in range(1, 21) for d in (-1, 1))})
 
-    @pytest.mark.parametrize("limit", [1, 7, 128, 4096])
-    def test_equals_np_sum_bitwise(self, limit):
+    def data(self, limit):
+        """Three rows of max(LENGTHS) values: normal, +-10^(+-300) and -0.0."""
         gen = np.random.default_rng(limit)
         n_max = max(self.LENGTHS)
         signs = gen.choice([-1.0, 1.0], size=n_max)
-        data = np.stack([
+        return np.stack([
             gen.normal(size=n_max),
             signs * 10.0 ** gen.uniform(-300, 300, n_max),
             np.full(n_max, -0.0),
         ])
+
+    @pytest.mark.parametrize("limit", [1, 7, 128, 4096])
+    def test_equals_np_sum_bitwise(self, limit):
+        data = self.data(limit)
         for n in self.LENGTHS:
             arrays = data[:, :n]
             calls = []
@@ -550,6 +593,41 @@ class TestPairwiseWalk:
             assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
             assert calls[-1][1] == n
             assert max(hi - lo for lo, hi in calls) <= max(limit, 128)
+
+    @pytest.mark.parametrize("limit", [1, 7, 128, 4096])
+    def test_second_walk_equals_np_std_bitwise(self, limit):
+        # `_pairwise_std` repeats np.std(ddof=1): the mean from the walk's
+        # totals, then a second walk over the squared deviations
+        data = self.data(limit)
+        for n in self.LENGTHS:
+            if n < 2:
+                continue
+            arrays = data[:, :n]
+            totals = yields._pairwise(lambda lo, hi: np.array([np.sum(a[lo:hi]) for a in arrays]),
+                                      n, limit)
+            # the squares of the +-10^300 row overflow to inf in both
+            with np.errstate(over="ignore"):
+                got = yields._pairwise_std(lambda lo, hi: arrays[:, lo:hi], totals, n, limit)
+                want = np.array([np.std(a, ddof=1) for a in arrays])
+            assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("limit", [1, 7, 4096])
+    @pytest.mark.parametrize("total", [10**6 + 7, 2**32 - 1, 2**32 + 1, 3 * 10**9 + 1, 10**10,
+                                       2**40 + 3])
+    def test_leaf_draws_equal_one_draw(self, limit, total):
+        # a sampled leaf draws its own pair numbers in walk order: the stream
+        # is that of one draw of them all, odd leaf lengths included
+        for n in (1, 129, 1001, 4097, 20_001):
+            gen = np.random.default_rng(n)
+            draws = []
+
+            def leaf(lo, hi):
+                draws.append(gen.integers(0, total, size=hi - lo))
+                return np.zeros(0)
+
+            yields._pairwise(leaf, n, limit)
+            want = np.random.default_rng(n).integers(0, total, size=n)
+            assert np.concatenate(draws).tobytes() == want.tobytes(), n
 
 
 class TestSpectrum:
@@ -704,3 +782,12 @@ class TestValidation:
             MCConfig(pf_bins=(1.0, 0.5))
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             MCConfig(seed=-1)
+        for seed in (1.5, True, "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                MCConfig(seed=seed)
+        for budget in (100.5, 100.0, True, False, "100"):
+            with pytest.raises(ValueError, match="max_pairs must be an integer"):
+                MCConfig(max_pairs=budget)
+        cfg = MCConfig(seed=np.int64(3), max_pairs=np.int32(7))
+        assert (cfg.seed, cfg.max_pairs) == (3, 7)
+        assert type(cfg.seed) is type(cfg.max_pairs) is int
