@@ -32,7 +32,7 @@ EXIT_IO = 3
 
 DEFAULT_THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 MAX_SHELL = 12  # largest 2k + l that coeff, wigner and prob accept
-# rows of one prob, wigner or figures file; a prob table at the cap peaks near 1 GB
+# rows of one prob, wigner or figures file; a prob table at the cap peaks at 35 MB
 MAX_ROWS = 10**7
 
 
@@ -75,6 +75,14 @@ def _check_rows(rows, what):
     """Refuse, before any compute, a result file of more than MAX_ROWS rows."""
     if rows > MAX_ROWS:
         raise _UsageError(f"{what} would write {rows} rows; one file holds at most {MAX_ROWS}")
+
+
+def _check_level(k, l):
+    """Refuse, before any compute, a negative level or one above the shell cap."""
+    if k < 0 or l < 0:
+        raise _UsageError(f"--k and --l must be nonnegative, got {k} and {l}")
+    if 2 * k + l > MAX_SHELL:
+        raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
 
 
 def _check_out(out):
@@ -191,8 +199,7 @@ def cmd_coeff(args):
             ms = [args.m] if args.m is not None else range(-l, l + 1)
             states.extend(Ame(k, l, m) for m in ms if abs(m) <= l)
     else:
-        if 2 * args.k + args.l > MAX_SHELL:
-            raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
+        _check_level(args.k, args.l)
         ms = [args.m] if args.m is not None else range(-args.l, args.l + 1)
         states.extend(Ame(args.k, args.l, m) for m in ms)
     if not states:
@@ -228,10 +235,7 @@ def cmd_coeff(args):
 def cmd_wigner(args):
     if args.out is None:
         raise _UsageError("wigner requires --out (grids are large)")
-    if args.k < 0 or args.l < 0:
-        raise _UsageError(f"--k and --l must be nonnegative, got {args.k} and {args.l}")
-    if 2 * args.k + args.l > MAX_SHELL:
-        raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
+    _check_level(args.k, args.l)
     params = _resolve_params(args)  # first, so that a bad value is named as such
     _reject_zeta_and_delta(args, "wigner")
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "q"))
@@ -271,32 +275,42 @@ def cmd_prob(args):
         raise _UsageError("prob requires --out")
     if (args.k is None) != (args.l is None):
         raise _UsageError("give both --k and --l, or neither for all N <= 3")
-    if args.k is not None and (args.k < 0 or args.l < 0):
-        raise _UsageError(f"--k and --l must be nonnegative, got {args.k} and {args.l}")
-    if args.k is not None and 2 * args.k + args.l > MAX_SHELL:
-        raise _UsageError(f"shells limited to 2k + l <= {MAX_SHELL}")
+    if args.k is not None:
+        _check_level(args.k, args.l)
     params = _resolve_params(args)
     axes, thetas = parse_grid_spec(args.grid, radial_names=("r", "p"))
     levels = [(args.k, args.l)] if args.k is not None else list(CLOSED_FORM_STATES)
-    _check_rows(len(axes["r"]) * len(axes["p"]) * len(thetas) * len(levels), "prob")
+    r_axis, p_axis = axes["r"], axes["p"]
+    shape = (len(levels), len(r_axis), len(p_axis), len(thetas))
+    n = math.prod(shape)
+    _check_rows(n, "prob")
     _check_out(args.out)
-    grid = [a.ravel() for a in np.meshgrid(axes["r"], axes["p"], thetas, indexing="ij")]
-    rel_r, rel_p = canonical_points(*grid)
-    v, t = v_and_t(rel_r, rel_p, params)
-    probs = p_kl_batch(levels, rel_r, rel_p, params)
-    n = len(rel_r)
-    prob = np.concatenate([probs[lv] for lv in levels])
+    # the direction (cos, sin, 0) of p at each theta, with the bits of canonical_points
+    _, unit = canonical_points(np.zeros(len(thetas)), np.ones(len(thetas)), thetas)
+
+    def rows(level, i, j, s):
+        """The v, t and P columns of one block of rows, levels outermost."""
+        rel_r, rel_p = np.zeros((2, len(level), 3))
+        rel_r[:, 0] = r_axis[i]
+        rel_p[:, :2] = p_axis[j, None] * unit[s, :2]
+        prob = np.empty(len(level))
+        for lv in np.unique(level).tolist():
+            at = level == lv
+            prob[at] = p_kl_batch([levels[lv]], rel_r[at], rel_p[at], params)[levels[lv]]
+        return [*v_and_t(rel_r, rel_p, params), prob]
+
     if args.verify:
         from .coalescence import p_kl_oracle
 
+        index = np.unravel_index(np.arange(0, n, max(1, n // 12)), shape)
         md = 0.0
-        for row in range(0, len(prob), max(1, len(prob) // 12)):
-            rel = PhasePoint(rel_r[row % n], rel_p[row % n])
-            md = max(md, abs(prob[row] - p_kl_oracle(*levels[row // n], rel, params)))
+        for lv, i, j, s, prob in zip(*(a.tolist() for a in index), rows(*index)[-1]):
+            rel = PhasePoint.from_invariants(r_axis[i], p_axis[j], thetas[s])
+            md = max(md, abs(prob - p_kl_oracle(*levels[lv], rel, params)))
         if md > 1e-7:
             print(f"verification failed: oracle dev {md:.3e}", file=sys.stderr)
             return EXIT_INVARIANT
-    write_prob_table(levels, np.column_stack([*grid, v, t]), prob, params, args.out)
+    write_prob_table(levels, (r_axis, p_axis, thetas), rows, params, args.out)
     return EXIT_OK
 
 
@@ -389,7 +403,7 @@ def _figure2(outdir, params, resolution):
                       "axes": {"r": [fmt17(v) for v in r_axis],
                                "p": [fmt17(v) for v in p_axis]},
                       "contour_0p2": [[fmt17(x), fmt17(y)] for x, y in contour]}
-            write_table(path, header, ("r", "p", "P"), (r_axis, p_axis), [vals.ravel()])
+            write_table(path, header, ("r", "p", "P"), (r_axis, p_axis), lambda *i: [vals[i]])
             paths.append(path)
     return paths
 
@@ -404,8 +418,8 @@ def _figure3(outdir, params, resolution):
     rel_r, rel_p = canonical_points(np.full(resolution, r0), np.full(resolution, p0), thetas)
     v, t = v_and_t(rel_r, rel_p, params)
     probs = p_kl_batch([(0, 3), (1, 1)], rel_r, rel_p, params)
-    write_table(path, header, ("theta", "v", "t", "P03", "P11"), (),
-                [thetas, v, t, probs[(0, 3)], probs[(1, 1)]])
+    write_table(path, header, ("theta", "v", "t", "P03", "P11"), (thetas,),
+                lambda i: [v[i], t[i], probs[(0, 3)][i], probs[(1, 1)][i]])
     return [path]
 
 

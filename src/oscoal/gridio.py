@@ -7,13 +7,15 @@ identical jobs emit identical bytes.  `write_table` is the one writer of
 this format and `_read_table` the one reader.
 
 Callers hand `write_table` the rows in factored form: the grid axes, whose
-product in C order gives the rows, then the per-row columns.  The writer
-works on blocks of `_CHUNK` rows held as rows of byte cells, where a NUL
-cell stands for no character.  Each axis value's text is formatted once and
-gathered per row (`np.unravel_index`); the columns' texts are formatted a
-block at a time by `_float_cells`; a block's bytes are its cells with the
-NULs deleted.  The bytes are those of `format(x, ".17g")` value by value
-(`str` for integers).
+product in C order gives the rows, and a row function that returns the
+per-row columns of one block of rows, given the block's index into each
+axis.  So no column is ever held whole.  The writer works on blocks of
+`_CHUNK` rows held as rows of byte cells, where a NUL cell stands for no
+character.  Each axis value's text is formatted once and gathered per row
+(`np.unravel_index`); the columns' texts are formatted a block at a time by
+`_float_cells`; a block's bytes are its cells with the NULs deleted.  The
+bytes are those of `format(x, ".17g")` value by value (`str` for
+integers).
 
 `_float_cells` finds the 17 digits of a float64 x = M 2**(e - 64), M its
 53-bit significand shifted to 64 bits, in uint64 arithmetic.  With d =
@@ -72,45 +74,48 @@ def _params_dict(params):
             "zeta": params.zeta}
 
 
-def write_table(path, payload, names, axes, columns):
+def write_table(path, payload, names, axes, rows):
     """Write one result file: header `payload`, column line, then the rows.
 
     The rows run over the product of `axes` in C order (the last axis
     fastest); each axis is a 1-D sequence, or 2-D with one column per field
-    of an entry.  `columns` holds the per-row values, one sequence per
-    remaining name, each as long as the product of the axis lengths (or, with
-    no axes, all of one length).  Integer arrays print as integers, all
-    others as 17-digit floats.
+    of an entry.  `rows(*index)` gets the per-axis index arrays of one block
+    of `_CHUNK` rows and returns that block's columns, one array per
+    remaining name.  Integer arrays print as integers, all others as
+    17-digit floats.
     """
     axes = [np.asarray(a) for a in axes]
     axes = [a[:, None] if a.ndim == 1 else a for a in axes]
-    columns = [np.asarray(c) for c in columns]
-    lengths = {len(c) for c in columns}
-    n = math.prod(len(a) for a in axes) if axes else next(iter(lengths), 0)
-    if lengths != {n} or sum(a.shape[1] for a in axes) + len(columns) != len(names):
-        raise ValueError(f"need one axis field or one {n}-row column per name in {names}")
     texts = [_axis_text(a) for a in axes]
+    shape = [len(a) for a in axes]
+    fields = sum(a.shape[1] for a in axes)
+    n = math.prod(shape)
     head = (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
             + ",".join(names) + "\n")
     with open(path, "wb") as fh:
         fh.write(head.encode())
         for lo in range(0, n, _CHUNK):
-            fh.write(_block(texts, columns, lo, min(n, lo + _CHUNK)))
+            index = np.unravel_index(np.arange(lo, min(n, lo + _CHUNK)), shape)
+            columns = [np.asarray(c) for c in rows(*index)]
+            if fields + len(columns) != len(names) or any(
+                    c.shape != index[0].shape for c in columns):
+                raise ValueError(f"need one axis field or one block column per name in {names}")
+            fh.write(_block(texts, index, columns))
 
 
-def _block(texts, columns, lo, hi):
-    """The bytes of rows lo to hi: the axis `texts` gathered per row, then the
-    `columns`, each value followed by a comma and the last by a newline."""
+def _block(texts, index, columns):
+    """The bytes of one block of rows: the axis `texts` gathered by the
+    `index` arrays, then the `columns`, each value followed by a comma and
+    the last by a newline.  There is at least one column."""
     # the words of each axis text and of each column with its separator
     edges = np.cumsum([0] + [t.itemsize // 8 for t in texts] + [_words(c) for c in columns])
     # a bytearray, so that deleting the NULs copies it only once
-    data = bytearray(8 * (hi - lo) * int(edges[-1]))
-    block = np.frombuffer(data, np.uint64).reshape(hi - lo, edges[-1])
-    index = np.unravel_index(np.arange(lo, hi), [len(t) for t in texts]) if texts else ()
+    data = bytearray(8 * len(columns[0]) * int(edges[-1]))
+    block = np.frombuffer(data, np.uint64).reshape(len(columns[0]), edges[-1])
     for text, i, a, b in zip(texts, index, edges, edges[1:]):
         block[:, a:b].view(text.dtype)[:, 0] = np.take(text, i)
     for c, a, b in zip(columns, edges[len(texts) :], edges[len(texts) + 1 :]):
-        _cells(c[lo:hi], block[:, a:b])
+        _cells(c, block[:, a:b])
     cells = block.view(np.uint8)
     cells[:, 8 * edges[len(texts) + 1 :] - 1] = ord(",")
     cells[:, -1] = ord("\n")
@@ -134,8 +139,8 @@ def _cells(values, out):
 def _axis_text(axis):
     """The text of each entry of a 2-D `axis` (its fields, each followed by a
     comma), NUL-padded to whole words, as an array of void items."""
-    n, fields = len(axis), list(axis.T)
-    rows = b"".join(_block([], fields, lo, min(n, lo + _CHUNK)) for lo in range(0, n, _CHUNK))
+    rows = b"".join(_block([], (), list(axis[lo : lo + _CHUNK].T))
+                    for lo in range(0, len(axis), _CHUNK))
     texts = np.array(rows.replace(b"\n", b",\n").split(b"\n")[:-1], dtype=bytes)
     size = -(-texts.itemsize // 8) * 8
     return texts.astype(f"S{size}").view(f"V{size}")
@@ -277,7 +282,7 @@ def write_wigner_grid(grid, path):
         "axes": {name: [fmt17(v) for v in ax] for name, ax in zip(("r", "q", "theta"), axes)},
         "nodes": [[[fmt17(x), fmt17(y)] for x, y in pts] for pts in grid.nodes],
     }
-    write_table(path, payload, _WIGNER_COLUMNS, axes, [np.ravel(grid.values)])
+    write_table(path, payload, _WIGNER_COLUMNS, axes, lambda *i: [grid.values[i]])
 
 
 def read_wigner_grid(path):
@@ -294,15 +299,16 @@ def read_wigner_grid(path):
     return header, values
 
 
-def write_prob_table(levels, points, prob, params, path):
+def write_prob_table(levels, axes, rows, params, path):
     """Emit a probability table: JSON header, then CSV k,l,r,p,theta,v,t,P.
 
     The rows run over the (k, l) `levels` and, within each level, over the
-    rows (r, p, theta, v, t) of the (n, 5) `points`; `prob` holds P, one
-    value per row.  The header repeats zeta at the top level.
+    product of the (r, p, theta) `axes`; `rows(level, i, j, s)` returns the
+    v, t and P columns of one block of rows, given the index arrays into
+    `levels` and the three axes.  The header repeats zeta at the top level.
     """
     payload = {"type": "prob_table", "params": _params_dict(params), "zeta": params.zeta}
-    write_table(path, payload, _PROB_COLUMNS, (np.asarray(levels), points), [prob])
+    write_table(path, payload, _PROB_COLUMNS, (np.asarray(levels), *axes), rows)
 
 
 def read_prob_table(path):

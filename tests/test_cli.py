@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from oscoal import cli
-from oscoal.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main, parse_grid_spec
+from oscoal.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main,
+                        parse_grid_spec)
 from oscoal.gridio import read_prob_table, read_wigner_grid, write_table
 from oscoal.ho1d import OscParams
 from oscoal.selftest import REFERENCE_COEFFICIENTS
@@ -31,6 +32,16 @@ def run(args):
 
 def _must_not_compute(*args, **kwargs):
     raise RuntimeError("usage errors must be raised before any compute")
+
+
+def _traced_peak(argv):
+    """The exit code of `main(argv)` and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGridSpec:
@@ -121,7 +132,8 @@ class TestCoeffCommand:
 class TestTableFormat:
     def test_readers_reject_wrong_columns(self, tmp_path):
         path = tmp_path / "t.dat"
-        write_table(path, {"type": "x"}, ("a", "b"), [np.arange(3)], [np.linspace(0, 1, 3)])
+        write_table(path, {"type": "x"}, ("a", "b"), [np.arange(3)],
+                    lambda i: [np.linspace(0, 1, 3)[i]])
         assert path.read_text() == '{"type":"x"}\na,b\n0,0\n1,0.5\n2,1\n'
         for reader, cols in ((read_prob_table, "k,l,r,p,theta,v,t,P"),
                              (read_wigner_grid, "r,q,theta,W")):
@@ -131,8 +143,8 @@ class TestTableFormat:
 
     def test_bytes_match_per_value_formatting(self, tmp_path, rng, monkeypatch):
         # At most 7 rows per block, so the first three tables take several
-        # blocks.  The leading axes (those not spelled out in a block's
-        # template) are none, (r, q), (levels, r) and, in the last, none.
+        # blocks.  The row functions gather the block's rows of full-length
+        # columns; the first table's only axis is the row number.
         monkeypatch.setattr("oscoal.gridio._CHUNK", 7)
         n = 7 * 40 + 3
         special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, math.inf, -math.nan, 0.1, 1.0]
@@ -149,19 +161,21 @@ class TestTableFormat:
         levels = np.array([(0, 0), (1, 3), (0, 12)])
         prob = [levels, np.array([0.0, 1.5]), np.array([-0.0, 1 / 3, 2.0]), np.array([0.0, 1.0])]
         cases = [
-            ((), columns, "abcdef"),
+            ((np.arange(n),), columns, "iabcdef"),
             (grid, [np.resize(special, 36)], "rqtW"),
             (prob, [rng.normal(size=36), np.resize(special[::-1], 36), np.resize(special, 36)],
              "klrptvTP"),
-            # the layout of `write_prob_table`: levels, then points (r, p, theta, v, t)
+            # two 2-D axes: integer levels, then points of five float fields
             ([levels[1:2], np.resize(special, (6, 5))], [rng.normal(size=6)], "klrptvTP"),
         ]
         for axes, columns, names in cases:
             path = tmp_path / "t.dat"
-            write_table(path, {"type": "x", "n": n}, tuple(names), axes, columns)
+            shape = [len(a) for a in axes]
+            write_table(path, {"type": "x", "n": n}, tuple(names), axes,
+                        lambda *i: [c[np.ravel_multi_index(i, shape)] for c in columns])
             lines = ['{"n":%d,"type":"x"}' % n, ",".join(names)]
             points = [[np.atleast_1d(v).tolist() for v in a] for a in axes]
-            prefixes = list(itertools.product(*points)) if axes else [()] * n
+            prefixes = list(itertools.product(*points))
             for prefix, row in zip(prefixes, zip(*(c.tolist() for c in columns)), strict=True):
                 values = [*itertools.chain.from_iterable(prefix), *row]
                 lines.append(",".join(format(v, "d" if isinstance(v, int) else ".17g")
@@ -173,10 +187,10 @@ class TestTableFormat:
             assert "-0," in "".join(written[2:])  # a signed zero in a column or an axis
 
     def test_unequal_columns_rejected(self, tmp_path):
-        for axes, columns in (((), [[1.0, 2.0], [1.0]]), ([[1.0, 2.0]], [[1.0]]),
-                              ([[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]])):
+        # a block of two rows: a column too short, one too long, one too many
+        for columns in ([[1.0]], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]]):
             with pytest.raises(ValueError):
-                write_table(tmp_path / "t.dat", {}, ("a", "b"), axes, columns)
+                write_table(tmp_path / "t.dat", {}, ("a", "b"), [[1.0, 2.0]], lambda i: columns)
 
 
 class TestWignerCommand:
@@ -264,12 +278,17 @@ class TestProbCommand:
 
     def test_default_table_memory_bounded(self, tmp_path):
         # 28830 rows: their text formatted in one block takes about 16 MB
-        tracemalloc.start()
-        try:
-            code = main(["prob", "--zeta", "2.0", "--out", str(tmp_path / "p.dat")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = _traced_peak(["prob", "--zeta", "2.0", "--out", str(tmp_path / "p.dat")])
+        assert code == EXIT_OK
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("grid", ["r:0:3:400,p:0:3:500,theta:0.5",
+                                      "r:0:3:800,p:0:3:1000,theta:0.5"], ids=["2e5", "8e5"])
+    def test_large_table_memory_bounded(self, grid, tmp_path):
+        # the rows are computed and written a block at a time, so the peak
+        # does not grow with the table (whole columns of 8e5 rows take 6 MB each)
+        argv = ["prob", "--k", "0", "--l", "0", "--grid", grid, "--out", str(tmp_path / "p.dat")]
+        code, peak = _traced_peak(argv)
         assert code == EXIT_OK
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -286,6 +305,20 @@ class TestProbCommand:
              "--grid", "r:0:2:4,p:0:2:4,theta:0,0.9", "--out", str(out)]
         )
         assert code == EXIT_OK and out.exists()
+
+    def test_verify_gate_fails(self, tmp_path, monkeypatch, capsys):
+        # an oracle off by 1e-6, ten times the gate's tolerance: exit 2, no table
+        from oscoal import coalescence
+
+        oracle = coalescence.p_kl_oracle
+        monkeypatch.setattr(coalescence, "p_kl_oracle", lambda *args: oracle(*args) + 1e-6)
+        out = tmp_path / "p.dat"
+        code = run(
+            ["prob", "--k", "1", "--l", "0", "--zeta", "2.0", "--verify",
+             "--grid", "r:0:2:4,p:0:2:4,theta:0,0.9", "--out", str(out)]
+        )
+        assert code == EXIT_INVARIANT and not out.exists()
+        assert "verification failed: oracle dev" in capsys.readouterr().err
 
     def test_verify_at_shell_cap(self, tmp_path):
         out = tmp_path / "p.dat"
@@ -690,6 +723,25 @@ class TestParamHandling:
         levels = ["--k", "0", "--l", "1"]
         assert run([command, *levels, *bad, "--out", str(out)]) == EXIT_USAGE
         assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [(["--k", "0", "--l", "-1"], "--k and --l must be nonnegative, got 0 and -1"),
+         (["--k", "-1", "--l", "2"], "--k and --l must be nonnegative, got -1 and 2"),
+         (["--k", "0", "--l", "13"], "shells limited to 2k + l <= 12"),
+         (["--k", "6", "--l", "1"], "shells limited to 2k + l <= 12")],
+        ids=["negative-l", "negative-k", "shell-13-by-l", "shell-13-by-k"],
+    )
+    @pytest.mark.parametrize("command", ["coeff", "wigner", "prob"])
+    def test_bad_levels_before_compute(self, command, levels, message, tmp_path, monkeypatch,
+                                       capsys):
+        # one check of k and l, with one message, for each command that reads them
+        for name in ("Ame", "_coeff_rows", "parse_grid_spec", "export_grid", "p_kl_batch"):
+            monkeypatch.setattr(f"oscoal.cli.{name}", _must_not_compute)
+        out = tmp_path / "out.dat"
+        assert run([command, *levels, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

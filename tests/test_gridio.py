@@ -15,7 +15,7 @@ from oscoal.cli import EXIT_OK, main
 def _written(values):
     """The bytes `gridio` writes for a column of `values`, one per line."""
     values = np.asarray(values)
-    return b"".join(gridio._block([], [values], lo, min(len(values), lo + 4096))
+    return b"".join(gridio._block([], (), [values[lo : lo + 4096]])
                     for lo in range(0, len(values), 4096))
 
 
@@ -105,13 +105,15 @@ class TestFloatText:
         assert len(calls) < 0.05 * len(values)
 
 
-def _reference_table(path, payload, names, axes, columns):
-    """`gridio.write_table` spelled out value by value."""
+def _reference_table(path, payload, names, axes, rows):
+    """`gridio.write_table` spelled out value by value, `rows` called once on all rows."""
     axes = [np.asarray(a).reshape(len(a), -1).tolist() for a in axes]
-    columns = [np.asarray(c).tolist() for c in columns]
-    prefixes = itertools.product(*axes) if axes else itertools.repeat(())
+    shape = [len(a) for a in axes]
+    index = np.unravel_index(np.arange(math.prod(shape)), shape)
+    columns = [np.asarray(c).tolist() for c in rows(*index)]
+    prefixes = itertools.product(*axes)
     lines = [json.dumps(payload, sort_keys=True, separators=(",", ":")), ",".join(names)]
-    for prefix, row in zip(prefixes, zip(*columns)):
+    for prefix, row in zip(prefixes, zip(*columns), strict=True):
         values = [*itertools.chain.from_iterable(prefix), *row]
         lines.append(",".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in values))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -145,3 +147,19 @@ def test_cli_files_hold_canonical_text(argv, tmp_path, monkeypatch, capsys):
         assert lines.pop() == "" and json.loads(lines[0])
         for row in lines[2:]:
             assert all(format(float(f), ".17g") == f for f in row.split(","))
+
+
+def test_level_boundaries_inside_a_block(tmp_path, monkeypatch):
+    # 4 x 5 x 2 = 40 points per level: blocks of 7 rows straddle the
+    # boundaries between the six default levels, and the last block is short
+    argv = ["prob", "--zeta", "0.7", "--grid", "r:0:3:4,p:0:3:5,theta:0,0.5"]
+    written = []
+    for chunk, writer in ((gridio._CHUNK, gridio.write_table), (7, gridio.write_table),
+                          (7, _reference_table)):
+        monkeypatch.setattr(gridio, "_CHUNK", chunk)
+        monkeypatch.setattr(gridio, "write_table", writer)
+        path = tmp_path / f"{len(written)}.dat"
+        assert main([*argv, "--out", str(path)]) == EXIT_OK
+        written.append(path.read_bytes())
+    assert len(written[0].split(b"\n")) == 2 + 6 * 40 + 1
+    assert written[1] == written[0] and written[2] == written[0]
