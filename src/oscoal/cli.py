@@ -22,7 +22,7 @@ from .gridio import fmt17, write_prob_table, write_table, write_wigner_grid
 from .ho1d import OscParams, quasi_prob
 from .coalescence import PhasePoint, canonical_points, p_kl_batch, shell_states, v_and_t
 from .coalescence import p_kl  # unused here; perfbench/spans.py wraps this name
-from .wigner3d import CLOSED_FORM_STATES, export_grid, level_crossings
+from .wigner3d import CLOSED_FORM_STATES, SLAB_CELLS, export_grid, level_crossings
 from .yields import MCConfig, channel_table, load_particles, pair_yields
 
 EXIT_OK = 0
@@ -391,11 +391,13 @@ def _figure2(outdir, params, resolution):
     paths = []
     r_axis = np.linspace(0.0, 5.0, resolution) / params.nu
     p_axis = np.linspace(0.0, 5.0, resolution) * params.nu * params.hbar
-    R, P = np.meshgrid(r_axis, p_axis, indexing="ij")
+    vals = np.empty((resolution, resolution))
+    step = max(1, SLAB_CELLS // resolution)
     for n in (0, 1, 2):
         for zeta in (0.25, 1.0, 4.0):
             pz = OscParams.from_zeta(params.nu, zeta, params.hbar)
-            vals = quasi_prob(n, n, R, P, pz).real
+            for lo in range(0, resolution, step):  # slabs of r: one float grid in all
+                vals[lo:lo + step] = quasi_prob(n, n, r_axis[lo:lo + step, None], p_axis, pz).real
             contour = level_crossings(r_axis, p_axis, vals, 0.2)
             path = Path(outdir) / f"fig2_p{n}{n}_zeta{zeta:g}.dat"
             header = {"type": "quasi_prob_grid", "n": n, "zeta": zeta,
@@ -409,17 +411,23 @@ def _figure2(outdir, params, resolution):
 
 
 def _figure3(outdir, params, resolution):
-    thetas = np.linspace(0.0, math.pi / 2, resolution)
     r0 = 1.0 / params.nu
     p0 = params.hbar * params.nu
     path = Path(outdir) / "fig3_theta.dat"
     header = {"type": "theta_scan", "r": fmt17(r0), "p": fmt17(p0),
               "params": {"nu": params.nu, "delta": params.delta, "hbar": params.hbar}}
-    rel_r, rel_p = canonical_points(np.full(resolution, r0), np.full(resolution, p0), thetas)
-    v, t = v_and_t(rel_r, rel_p, params)
-    probs = p_kl_batch([(0, 3), (1, 1)], rel_r, rel_p, params)
-    write_table(path, header, ("theta", "v", "t", "P03", "P11"), (thetas,),
-                lambda i: [v[i], t[i], probs[(0, 3)][i], probs[(1, 1)][i]])
+    step = (math.pi / 2) / (resolution - 1)
+
+    def rows(i):
+        """One block of rows; theta as np.linspace(0, pi/2, resolution) gives it."""
+        theta = np.where(i == resolution - 1, math.pi / 2, i * step)
+        rel_r, rel_p = canonical_points(np.full(len(i), r0), np.full(len(i), p0), theta)
+        probs = p_kl_batch([(0, 3), (1, 1)], rel_r, rel_p, params)
+        return [theta, *v_and_t(rel_r, rel_p, params), probs[(0, 3)], probs[(1, 1)]]
+
+    # theta is a column, not an axis whose text would be formatted whole
+    write_table(path, header, ("theta", "v", "t", "P03", "P11"), (np.empty((resolution, 0)),),
+                rows)
     return [path]
 
 

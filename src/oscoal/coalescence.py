@@ -38,9 +38,9 @@ invariants
     t = |r x p|^2 / hbar^2:
 
 e^v P_kl is a polynomial in v and s with exact rational coefficients
-(`_husimi_terms`), the Husimi function of the (k, l) multiplet from which
-`wigner3d` derives W_kl.  The levels of one energy shell N sum to the Poisson
-weight e^{-v} v^N/N!, with the t dependence cancelling inside each shell.
+(`_husimi_terms`), the Husimi function of the (k, l) multiplet.  The levels
+of one energy shell N sum to the Poisson weight e^{-v} v^N/N!, with the t
+dependence cancelling inside each shell.
 The final bound-state momentum is distributed around P_i = p1 + p2 with the
 Gaussian overlap factor J; in the semi-classical limit J becomes a delta
 function.

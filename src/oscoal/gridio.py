@@ -24,7 +24,8 @@ floor(log10 |x|) estimated by `np.log10`, it takes the high word H of the
 built from 32-bit limbs.  H lies below the true product by less than 2
 units, and is rounded to the 17-digit integer N.  A value is printed from N
 only when N lies in [10**16, 10**17) and the rounding decision lies outside
-that 2-unit window.  All others (0, inf, nan, near-ties, a wrong estimate of
+that 2-unit window.  A zero is printed from N = 0 with the mask of d = 0,
+its sign cell kept.  All others (inf, nan, near-ties, a wrong estimate of
 d) are formatted by `format(x, ".17g")` in the same call.  On the 800 000
 values of `wigner --k 1 --l 3` that fallback takes 0.88%, all of them
 near-ties.  The digits come from a table of 4-digit groups and sit in a
@@ -79,14 +80,16 @@ def write_table(path, payload, names, axes, rows):
 
     The rows run over the product of `axes` in C order (the last axis
     fastest); each axis is a 1-D sequence, or 2-D with one column per field
-    of an entry.  `rows(*index)` gets the per-axis index arrays of one block
-    of `_CHUNK` rows and returns that block's columns, one array per
-    remaining name.  Integer arrays print as integers, all others as
-    17-digit floats.
+    of an entry.  An axis of shape (n, 0) prints nothing, so an axis too
+    long to format whole can be a column.  `rows(*index)` gets the per-axis
+    index arrays of one block of `_CHUNK` rows and returns that block's
+    columns, one array per remaining name.  Integer arrays print as
+    integers, all others as 17-digit floats.
     """
     axes = [np.asarray(a) for a in axes]
     axes = [a[:, None] if a.ndim == 1 else a for a in axes]
-    texts = [_axis_text(a) for a in axes]
+    printed = [a.shape[1] > 0 for a in axes]
+    texts = [_axis_text(a) for a, shown in zip(axes, printed) if shown]
     shape = [len(a) for a in axes]
     fields = sum(a.shape[1] for a in axes)
     n = math.prod(shape)
@@ -100,7 +103,7 @@ def write_table(path, payload, names, axes, rows):
             if fields + len(columns) != len(names) or any(
                     c.shape != index[0].shape for c in columns):
                 raise ValueError(f"need one axis field or one block column per name in {names}")
-            fh.write(_block(texts, index, columns))
+            fh.write(_block(texts, [i for i, shown in zip(index, printed) if shown], columns))
 
 
 def _block(texts, index, columns):
@@ -177,6 +180,9 @@ def _float_cells(x, out):
     del up
     fast &= n17 < _U(10**17)  # nor too small
     n17[~fast] = _U(10**16)
+    zero = x == 0  # N = 0 under the mask of d = 0 (k is that of a = 1): "0" or "-0"
+    n17[zero] = _U(0)
+    fast |= zero
     # N = lead 10**16 + g1 10**12 + g2 10**8 + g3 10**4 + g4, as table indices
     hi, lo = np.divmod(n17.view(np.int64), 10**8)
     del n17

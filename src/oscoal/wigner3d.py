@@ -15,40 +15,35 @@ nu r <-> q/(hbar nu); it depends on the point only through the invariants
 A point (r, q) is a `coalescence.PhasePoint` (alias `PhasePoint3D`), with q
 held in its `p_vec`.
 
-W_kl is also invariant under the harmonic flow, and both it and rotations
-act on x = (xi, eta), xi = nu r, eta = q/(hbar nu), as orthogonal maps, so
-W_kl / W_00 is a polynomial in E = a + b = |x|^2 and T = ab - c = |xi x eta|^2
-with rational coefficients.  `_derive_et` computes it exactly from the
-zeta = 1 coalescence probability of `coalescence._husimi_terms`:
-P_kl(x) = 8 sum_m int W_klm(y) e^{-|y-x|^2} d^6y, so e^v P_kl =
-(2l+1) (e^{Delta/8} P)(x/2) with the 6-D Laplacian Delta, which maps
-polynomials in (E, T) to polynomials in (E, T), and the inverse heat flow
-P(x) = (e^{-Delta/2} e^v P_kl)(2x) / (2l+1) is a finite series.  All 49
-levels with N <= 12 derive in about 0.04 s on a 2-vCPU VM.
-
-Rotations about one axis and the harmonic flow give independent phases to
-the circular ladder operators (A_x -+ i A_y)/sqrt(2), so at a point brought
-by them to xi = (x, 0, 0), eta = (0, y, 0) only the diagonal of the
-multiplet projector in the cylindrical basis |n+, n-, n_z> survives:
+W_kl is also invariant under the harmonic flow.  Rotations about one axis
+and that flow give independent phases to the circular ladder operators
+A+- = (A_x -+ i A_y)/sqrt(2), so at a point brought by them to
+xi = nu r = (x, 0, 0), eta = q/(hbar nu) = (0, y, 0) only the diagonal of
+the multiplet projector in the cylindrical basis |n+, n-, n_z> survives:
 
     W_kl = (-1)^N W_00/(2l+1) sum_ab w_ab L_a(u+) L_b(u-),
     u+- = E +- 2 sqrt(T),  u- = ((a - b)^2 + 4c)/u+,
 
-with the plain Laguerre polynomials L_n and
-w_ab = sum_m |<k l m | a, b, N - a - b>|^2.
-`_circular_weights` converts `_derive_et` to the w_ab exactly; for every
-level with N <= 12 they are nonnegative, symmetric, zero unless |a - b| <= l,
-and sum to 2l + 1.  Since |e^{-u/2} L_n(u)| <= 1, |pi^3 hbar^3 W_kl| <= 1,
-with equality at the origin.  `wigner_kl_closed`, `export_grid` and the
-normalization quadrature share one evaluator, `_wigner_circular`: two
-Laguerre recurrences and a banded double sum, within 2e-15 of exact values
-of pi^3 hbar^3 W for every level with N <= 12.  Two identities on the
-weights check the whole table exactly: each W_kl integrates to
+with E = a + b, T = ab - c = |xi x eta|^2, the plain Laguerre polynomials
+L_n and w_ab = sum_m |<k l m | a, b, N - a - b>|^2.  `_circular_weights`
+reads them exactly off the solid-harmonic generating function,
+|k l m> ~ (r^2)^k r^l Y_lm(A^dag)|0> with r^2 = 2 A+^dag A-^dag + A_z^dag^2;
+the 49 levels with N <= 12 take about 0.02 s on a 2-vCPU VM.  The w_ab
+are nonnegative, symmetric, zero unless |a - b| <= l, and sum to 2l + 1.
+Since |e^{-u/2} L_n(u)| <= 1, |pi^3 hbar^3 W_kl| <= 1, with equality at
+the origin.  `wigner_kl_closed`, `export_grid` and the normalization
+quadrature share one evaluator, `_wigner_circular`: two Laguerre
+recurrences and a banded double sum, within 2e-15 of exact values of
+pi^3 hbar^3 W for every level with N <= 12.  Two identities on the weights
+check the whole table exactly: each W_kl integrates to
 (-1)^N sum_ab w_ab g(|a - b|)/(2l+1) = 1, with g(0) = 1 and
 g(d) = (-1)^d 2d (`_normalization_exact`), and each shell sums to the
 Wigner function of its projector, (-1)^N L_N^(2)(2E) =
 (-1)^N sum_{a+b<=N} L_a(u+) L_b(u-), so sum_{2k+l=N} w_ab is 1 for
 a + b <= N and 0 beyond (`_shell_trace_residue`).
+
+`_derive_et` expands the same sum exactly in (E, T), and
+`derive_invariant_poly` in (a, b, c), for the audit and the tests only.
 
 Two terms of the commonly tabulated printed forms for the (0,3) and (1,1)
 states, audited in (a, b, c), fail the mirror symmetry; the derivation
@@ -56,13 +51,15 @@ fixes both (see `REFERENCE_TABULATION_NOTES`).
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
-from .coalescence import PhasePoint, _dot, _husimi_terms
+from .coalescence import PhasePoint, _dot
 from .expansion import Ame, _coeff_matrix, _psi_cartesian, bilinear_assemble, bilinear_table
 from .expansion import psi_klm
 from .expansion import d_coeff_reduced  # unused here; perfbench/spans.py wraps this name
@@ -127,52 +124,63 @@ def wigner_kl(k, l, pt, params):
 
 
 # ---------------------------------------------------------------------------
-# Exact derivation of the invariant polynomials W_kl / W_00.
+# Exact circular weights and the invariant polynomials W_kl / W_00.
 
-def _husimi_input(k, l):
-    """p = e^v P_kl at zeta = 1, exactly, as {(i, j): Fraction} for E^i T^j.
+@lru_cache(maxsize=None)
+def _circular_weights(k, l):
+    """The weights of W_kl = (-1)^N W_00/(2l+1) sum_ab w_ab L_a(u+) L_b(u-), exact and float.
 
-    The binomial expansion of the terms c v^i s^j of `coalescence._husimi_terms`
-    at v = E/2 and s = v^2 - t = E^2/4 - T.
+    Returns (w, rows): w is {(a, b): Fraction} of the nonzero w_ab, and rows
+    is ((a, ((b, f), ...)), ...) with f = (-1)^N w_ab/(2l+1) as a float.
+    For m >= 0, |k l m> has on |a, b, c> = |m + s, s, N - m - 2s> the amplitude
+    sqrt(a! b! c!) sum_j C(k, s-j) 2^(s-j) (-1)^j / (2^j (m+j)! j! (l-m-2j)!)
+    up to a norm, here times 2^l l!; m < 0 mirrors (a, b) -> (b, a).
     """
-    out = {}
-    for i, j, cf in _husimi_terms(k, l):
-        for m in range(j + 1):
-            key = (i + 2 * (j - m), m)
-            out[key] = out.get(key, 0) + cf * (-1) ** m * math.comb(j, m) / (2**i * 4 ** (j - m))
-    return out
-
-
-def _laplacian_et(poly):
-    """The 6-D Laplacian in (xi, eta) of a polynomial {(i, j): c} in (E, T).
-
-    On E^i T^j it is 4i(i + 2 + 4j) E^{i-1} T^j + 4j^2 E^{i+1} T^{j-1}.
-    """
-    out = {}
-    for (i, j), c in poly.items():
-        for key, f in (((i - 1, j), 4 * i * (i + 2 + 4 * j)), ((i + 1, j - 1), 4 * j * j)):
-            if f:
-                out[key] = out.get(key, 0) + f * c
-    return {key: c for key, c in out.items() if c}
+    if k < 0 or l < 0:
+        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
+    N, fact, w = 2 * k + l, math.factorial, defaultdict(Fraction)
+    for m in range(l + 1):
+        pops = {}
+        for s in range(k + (l - m) // 2 + 1):
+            amp = sum(((-1) ** j * math.comb(k, s - j) << (l + s - 2 * j)) * fact(l)
+                      // (fact(m + j) * fact(j) * fact(l - m - 2 * j))
+                      for j in range(max(0, s - k), min(s, (l - m) // 2) + 1))
+            pops[m + s, s] = amp * amp * fact(m + s) * fact(s) * fact(N - m - 2 * s)
+        total = sum(pops.values())
+        for (a, b), pop in pops.items():
+            for key in {(a, b), (b, a)}:
+                w[key] += Fraction(pop, total)
+    w = {key: c for key, c in sorted(w.items()) if c}
+    return w, tuple((a, tuple((b, float((-1) ** N * w[a, b] / (2 * l + 1))) for _, b in keys))
+                    for a, keys in groupby(w, key=lambda ab: ab[0]))
 
 
 @lru_cache(maxsize=None)
 def _derive_et(k, l):
     """W_kl / W_00 exactly, as {(i, j): Fraction} for E^i T^j.
 
-    The inverse heat flow P(x) = (e^{-Delta/2} p)(2x) / (2l+1) of the Husimi
-    input p = e^v P_kl (`_husimi_input`).  The series stops because Delta
-    lowers the degree, and x -> 2x scales E^i T^j by 4^(i + 2j).
+    The circular sum with L_n(u) = sum_p (-1)^p C(n, p) u^p/p! and
+    u+- = E +- x, x = 2 sqrt(T): the odd powers of x cancel, as w_ab is
+    symmetric.  In integers over the weights' denominator times (N!)^2 (2l+1):
+    lag[a][p] is N! times the coefficient of u^p in L_a(u).
     """
-    if k < 0 or l < 0:
-        raise ValueError(f"k and l must be nonnegative, got k={k}, l={l}")
-    term, total, n = _husimi_input(k, l), {}, 0
-    while term:
-        for (i, j), c in term.items():
-            total[(i, j)] = total.get((i, j), 0) + c * 4 ** (i + 2 * j)
-        n += 1
-        term = {key: -c / (2 * n) for key, c in _laplacian_et(term).items()}
-    return {key: c / (2 * l + 1) for key, c in total.items() if c}
+    w, N = _circular_weights(k, l)[0], 2 * k + l
+    fact, den = math.factorial(N), math.lcm(*(c.denominator for c in w.values()))
+    num = {ab: c.numerator * (den // c.denominator) for ab, c in w.items()}
+    lag = [[(-1) ** p * math.comb(a, p) * (fact // math.factorial(p)) for p in range(N + 1)]
+           for a in range(N + 1)]
+    half = [[sum(num.get((a, b), 0) * lag[b][q] for b in range(q, N + 1)) for q in range(N + 1)]
+            for a in range(N + 1)]
+    out = defaultdict(int)
+    for p in range(N + 1):
+        for q in range(N + 1 - p):  # u+^p u-^q = (E + x)^p (E - x)^q, even powers of x
+            mono = sum(lag[a][p] * half[a][q] for a in range(p, N + 1))
+            for s in range(p + 1):
+                for r in range(s % 2, q + 1, 2):
+                    out[p + q - s - r, (s + r) // 2] += (
+                        (-1) ** r * mono * math.comb(p, s) * math.comb(q, r) << (s + r))
+    den *= (-1) ** N * (2 * l + 1) * fact * fact
+    return {key: Fraction(c, den) for key, c in out.items() if c}
 
 
 def _to_abc(poly):
@@ -200,12 +208,8 @@ def derive_invariant_poly(k, l):
 
 
 def _shell_trace_residue(N):
-    """sum_{2k+l=N} w_ab - [a + b <= N] over the circular weights, exactly, zeros dropped.
-
-    sum_{a+b<=N} L_a(u+) L_b(u-) = L_N^(2)(u+ + u-) = L_N^(2)(2E), so the
-    residue is {} exactly when the shell sums to the Wigner function of its
-    projector, sum_{2k+l=N} (2l+1) W_kl/W_00 = (-1)^N L_N^(2)(2E).
-    """
+    """sum_{2k+l=N} w_ab - [a + b <= N] exactly, zeros dropped: {} when the shell
+    sums to the Wigner function of its projector (see the module notes)."""
     out = {(a, b): -1 for a in range(N + 1) for b in range(N + 1 - a)}
     for k in range(N // 2 + 1):
         for key, w in _circular_weights(k, N - 2 * k)[0].items():
@@ -286,41 +290,6 @@ REFERENCE_TABULATION_NOTES = (
 
 # The levels of the printed tabulation, in its order.
 CLOSED_FORM_STATES = tuple(REFERENCE_TABULATION)
-
-
-@lru_cache(maxsize=None)
-def _circular_weights(k, l):
-    """The weights of W_kl = (-1)^N W_00/(2l+1) sum_ab w_ab L_a(u+) L_b(u-), exact and float.
-
-    Returns (w, rows): w is {(a, b): Fraction} of the nonzero w_ab, and rows
-    is ((a, ((b, f), ...)), ...) with f = (-1)^N w_ab/(2l+1) as a float.
-    `_derive_et` is converted with E = (u+ + u-)/2, T = (u+ - u-)^2/16 and
-    u^p = p! sum_n (-1)^n C(p, n) L_n(u), in integers over one common
-    denominator: i + 2j <= N, so 2^(i+4j) divides 4^N.
-    """
-    poly = _derive_et(k, l)
-    N = 2 * k + l
-    den = math.lcm(*(c.denominator for c in poly.values())) << (2 * N)
-    mono = [[0] * (N + 1) for _ in range(N + 1)]  # u+^p u-^q
-    for (i, j), cf in poly.items():
-        scale = cf.numerator * (den // cf.denominator) >> (i + 4 * j)
-        for s in range(i + 1):  # (u+ + u-)^i (u+ - u-)^(2j)
-            for r in range(2 * j + 1):
-                binomials = (-1) ** r * math.comb(i, s) * math.comb(2 * j, r)
-                mono[i + 2 * j - s - r][s + r] += scale * binomials
-    # u^p = sum_n lag[n][p] L_n(u)
-    lag = [[(-1) ** n * math.factorial(p) * math.comb(p, n) for p in range(N + 1)]
-           for n in range(N + 1)]
-    half = [[sum(lag[a][p] * mono[p][q] for p in range(a, N + 1)) for q in range(N + 1)]
-            for a in range(N + 1)]
-    m = [[sum(half[a][q] * lag[b][q] for q in range(b, N + 1)) for b in range(N + 1)]
-         for a in range(N + 1)]
-    sign = (-1) ** N
-    w = {(a, b): Fraction(sign * (2 * l + 1) * c, den)
-         for a, row in enumerate(m) for b, c in enumerate(row) if c}
-    rows = tuple((a, tuple((b, c / den) for b, c in enumerate(row) if c))
-                 for a, row in enumerate(m) if any(row))
-    return w, rows
 
 
 def _laguerre_values(n, u):
@@ -429,9 +398,8 @@ def wigner_kl_oracle(k, l, pt, params):
 def _normalization_exact(k, l):
     """Int d^3r d^3q W_kl as an exact Fraction, from the circular weights (1 for every level).
 
-    The W_00 mean of the symmetrized L_a(u+) L_b(u-) is g(|a - b|), with
-    g(0) = 1 and g(d) = (-1)^d 2d (`TestNormalization` pins this by
-    quadrature), so the integral is (-1)^N sum_ab w_ab g(|a - b|)/(2l+1).
+    The W_00 mean of the symmetrized L_a(u+) L_b(u-) is the g(|a - b|) of the
+    module notes; `TestNormalization` pins it by quadrature.
     """
     total = sum(w * (1 if a == b else (-1) ** abs(a - b) * 2 * abs(a - b))
                 for (a, b), w in _circular_weights(k, l)[0].items())

@@ -254,6 +254,18 @@ class TestWignerCommand:
                     "--grid", "r:0:4:9,q:0:4:9", "--out", str(out)])
         assert code == EXIT_OK and out.exists()
 
+    @pytest.mark.parametrize("nr, nq", [(150, 200), (300, 400)], ids=["6e4", "2.4e5"])
+    def test_large_grid_memory_bounded(self, nr, nq, tmp_path):
+        # the values stay whole for the header's node lines (8 bytes a cell);
+        # beyond them the slabs, the node lines of one theta slice and the
+        # writer's blocks need about 2 slices and 1 MB at both sizes
+        grid = f"r:0:4:{nr},q:0:4:{nq},theta:0,0.9"
+        argv = ["wigner", "--k", "1", "--l", "3", "--grid", grid, "--out", str(tmp_path / "w.dat")]
+        code, peak = _traced_peak(argv)
+        assert code == EXIT_OK
+        extra, slice_bytes = peak - 8 * nr * nq * 2, 8 * nr * nq
+        assert extra < 3 * slice_bytes + 2e6, f"{extra / 1e6:.1f} MB beyond the values"
+
 
 class TestProbCommand:
     def test_table_round_trip_and_values(self, tmp_path):
@@ -572,6 +584,34 @@ class TestFiguresCommand:
             rel = PhasePoint.from_invariants(float(header["r"]), float(header["p"]), th)
             assert (v, t) == v_and_t(rel.r_vec, rel.p_vec, params)
             assert p03 == p_kl(0, 3, rel, params) and p11 == p_kl(1, 1, rel, params)
+
+    @pytest.mark.parametrize("resolution", [120, 240])
+    def test_figure2_memory_bounded(self, resolution, tmp_path, capsys):
+        # one float grid filled by slabs of r, and the contour's temporaries:
+        # about 3.5 grids in all; full-grid complex amplitudes took 18
+        argv = ["figures", "2", "--outdir", str(tmp_path), "--resolution", str(resolution)]
+        code, peak = _traced_peak(argv)
+        assert code == EXIT_OK
+        grid = 8 * resolution**2
+        assert peak < 4 * grid + 1e6, f"peak {peak / 1e6:.1f} MB, {peak / grid:.1f} grids"
+
+    @pytest.mark.parametrize("resolution", [20000, 100000], ids=["2e4", "1e5"])
+    def test_figure3_memory_bounded(self, resolution, tmp_path, capsys):
+        # theta, v, t and both P are computed a block of rows at a time, so the
+        # peak does not grow with the scan (whole columns took 19 MB at 1e5)
+        argv = ["figures", "3", "--outdir", str(tmp_path), "--resolution", str(resolution)]
+        code, peak = _traced_peak(argv)
+        assert code == EXIT_OK
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_figure3_theta_is_linspace(self, tmp_path, capsys):
+        # the block-wise theta column holds the bits of np.linspace
+        for resolution in (2, 3, 181, 9973):
+            argv = ["figures", "3", "--outdir", str(tmp_path), "--resolution", str(resolution)]
+            assert run(argv) == EXIT_OK
+            lines = (tmp_path / "fig3_theta.dat").read_text().splitlines()[2:]
+            got = np.array([float(line.split(",", 1)[0]) for line in lines])
+            assert got.tobytes() == np.linspace(0.0, math.pi / 2, resolution).tobytes()
 
     def test_figure3_monotone(self, tmp_path, capsys):
         assert run(["figures", "3", "--outdir", str(tmp_path), "--resolution", "41"]) == EXIT_OK

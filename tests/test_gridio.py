@@ -84,7 +84,7 @@ class TestFloatText:
         _assert_exact(np.array(values + [-v for v in values]))
 
     def test_fallback_alone_gives_the_same_bytes(self, rng, monkeypatch):
-        # a zero table of powers of ten leaves no value on the fast path
+        # a zero table of powers of ten leaves no nonzero value on the fast path
         values = np.concatenate([rng.normal(size=5000), _bits(rng, 5000, rng.integers(0, 2047, 5000)),
                                  [0.0, -0.0, math.inf, math.nan, 1e16, 1e17, 1e-5]])
         fast = _written(values)
@@ -94,7 +94,14 @@ class TestFloatText:
         sig, *rest = gridio._tables()
         monkeypatch.setattr(gridio, "_tables", lambda: (np.zeros_like(sig), *rest))
         assert _written(values) == fast
-        assert len(calls) == len(values)
+        assert len(calls) == np.count_nonzero(values)  # zeros never reach `format`
+
+    def test_signed_zeros_take_no_format_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gridio, "format", lambda v, spec: calls.append(v) or format(v, spec),
+                            raising=False)
+        _assert_exact(np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.5e-300, 0.0]))
+        assert calls == []
 
     def test_fast_path_takes_most_values(self, rng, monkeypatch):
         calls = []

@@ -18,13 +18,10 @@ from oscoal.wigner3d import (
     REFERENCE_TABULATION,
     _circular_weights,
     _derive_et,
-    _husimi_input,
     _laguerre_values,
-    _laplacian_et,
     _normalization_exact,
     _normalization_quadrature,
     _shell_trace_residue,
-    _to_abc,
     derive_invariant_poly,
     export_grid,
     level_crossings,
@@ -353,23 +350,6 @@ class TestEvaluator:
         assert math.isnan(wigner_kl_closed(0, 0, (0, 0, 0), (0, math.nan, 0), params))
 
 
-def _laplacian_abc(poly):
-    """The 6-D Laplacian in (xi, eta) of a polynomial in (a, b, c), the oracle.
-
-    On a^i b^j c^h it is i(4i+2+8h) a^{i-1} b^j c^h + j(4j+2+8h) a^i b^{j-1} c^h
-    + h(4h-2) (a^{i+1} b^j + a^i b^{j+1}) c^{h-1}.
-    """
-    out = {}
-    for (i, j, h), c in poly.items():
-        for key, f in (((i - 1, j, h), i * (4 * i + 2 + 8 * h)),
-                       ((i, j - 1, h), j * (4 * j + 2 + 8 * h)),
-                       ((i + 1, j, h - 1), h * (4 * h - 2)),
-                       ((i, j + 1, h - 1), h * (4 * h - 2))):
-            if f:
-                out[key] = out.get(key, 0) + f * c
-    return {key: c for key, c in out.items() if c}
-
-
 def _flow_generator(poly):
     """dP/da - dP/db + (b - a) dP/dc, as a dict of its nonzero coefficients."""
     out = defaultdict(Fraction)
@@ -473,27 +453,6 @@ class TestDerivation:
                 got = wigner_kl(k, l, PhasePoint(tuple(r_img), tuple(q_img)), p)
                 assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_husimi_input_matches_factorized_kernel(self, rng):
-        # e^{-v} p is the zeta = 1 coalescence probability of the factorized
-        # kernel, with v = E/2, E = a + b and T = |xi x eta|^2
-        p = OscParams.from_zeta(1.3, 1.0, 0.9)
-        rel_r, rel_p = rng.uniform(-1.5, 1.5, (2, 2000, 3))
-        levels = [lv for N in range(9) for lv in shell_states(N)]
-        batch = p_kl_batch(levels, rel_r, rel_p, p)
-        e = (p.nu**2 * np.sum(rel_r * rel_r, axis=1)
-             + np.sum(rel_p * rel_p, axis=1) / (p.hbar * p.nu) ** 2)
-        t = np.sum(np.cross(rel_r, rel_p) ** 2, axis=1) / p.hbar**2
-        for k, l in levels:
-            poly = sum(float(cf) * e**i * t**j for (i, j), cf in _husimi_input(k, l).items())
-            assert np.max(np.abs(np.exp(-e / 2) * poly - batch[(k, l)])) <= 1e-14, (k, l)
-
-    def test_laplacian_matches_abc_oracle(self):
-        # expand(Delta_ET m) = Delta_abc(expand m) for every monomial E^i T^j
-        for i in range(13):
-            for j in range((12 - i) // 2 + 1):
-                mono = {(i, j): F(1)}
-                assert _to_abc(_laplacian_et(mono)) == _laplacian_abc(_to_abc(mono)), (i, j)
-
     @pytest.mark.parametrize("N", range(13))
     def test_shell_sum_rule(self, N):
         # sum_{2k+l=N} (2l+1) W_kl / W_00 = (-1)^N L_N^(2)(2(a+b)), the
@@ -556,22 +515,25 @@ def _circular_in_cartesian(p, q):
 
 
 class TestCircularWeights:
-    @pytest.mark.parametrize("N", range(13))
+    @pytest.mark.parametrize("N", range(17))
     def test_positive_symmetric_banded_mixture(self, N):
         # w_ab = sum_m |<k l m | a, b, N - a - b>|^2 over the circular modes,
-        # so n+ - n- = m: nonnegative, symmetric, |a - b| <= l, a + b <= N
+        # so n+ - n- = m: nonnegative, symmetric, |a - b| <= l, a + b <= N;
+        # the exact normalization and shell identities hold beyond N = 12
         for k, l in shell_states(N):
             w = _circular_weights(k, l)[0]
             assert all(isinstance(c, Fraction) and c > 0 for c in w.values()), (k, l)
             assert all(w.get((b, a)) == c for (a, b), c in w.items()), (k, l)
             assert all(abs(a - b) <= l and a + b <= N for a, b in w), (k, l)
             assert sum(w.values()) == 2 * l + 1, (k, l)
+            assert _normalization_exact(k, l) == 1, (k, l)
+        assert _shell_trace_residue(N) == {}
 
     @pytest.mark.parametrize("N", range(9))
     def test_weights_are_circular_populations(self, N):
-        # the oracle, from the expansion coefficients instead of the Husimi
-        # route: w_ab = sum_m |<a, b, N - a - b | k l m>|^2 in the cylindrical
-        # basis; N <= 8 keeps the coefficient tables under 0.3 s
+        # the oracle, from the expansion coefficients instead of the
+        # generating function: w_ab = sum_m |<a, b, N - a - b | k l m>|^2 in
+        # the cylindrical basis; N <= 8 keeps the coefficient tables under 0.3 s
         triples = degenerate_subspace(N)
         column = {(t.n1, t.n2, t.n3): i for i, t in enumerate(triples)}
         states = [(a, b) for a in range(N + 1) for b in range(N + 1 - a)]
@@ -636,6 +598,38 @@ class TestNormalization:
         printed = REFERENCE_TABULATION[(1, 1)]
         assert _abc_integral_exact(printed) == F(85, 4)
         assert _abc_integral_quadrature(printed) == pytest.approx(85 / 4, abs=1e-8)
+
+
+class TestPhaseSpaceOverlap:
+    """P_kl(r, p) = (2l+1) int W_kl(x, q) prod_i 2 exp(-(x_i - r_i)^2/(4 delta^2)
+    - 4 delta^2 (q_i - p_i)^2/hbar^2) d^3x d^3q: the coalescence probability
+    is the phase-space overlap of W_kl with the wave-packet kernel of
+    `coalescence._quasi_prob_quad`."""
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_p_kl_is_overlap_of_w_kl(self, zeta, rng):
+        # W_kl times the kernel is a Gaussian centred at (x0, q0) times a
+        # polynomial of degree <= 2N <= 8 in each coordinate, so the shifted
+        # tensor Gauss-Hermite rule with 5 nodes per axis (degree 9) is exact
+        p = OscParams.from_zeta(1.3, zeta, 0.9)
+        nu, hbar, d2 = p.nu, p.hbar, p.delta**2
+        r, q = rng.uniform(-1.2, 1.2, (2, 3, 3))
+        ax, aq = nu**2 + 1 / (4 * d2), 1 / (hbar * nu) ** 2 + 4 * d2 / hbar**2
+        tt, w3 = _gh_grid(5)
+        xs = r[:, None, None] / (4 * d2 * ax) + tt[:, None] / math.sqrt(ax)
+        qs = 4 * d2 * q[:, None, None] / (hbar**2 * aq) + tt / math.sqrt(aq)
+        xs, qs = np.broadcast_arrays(xs, qs)  # (point, x node, q node, axis)
+        kernel = 8 * np.exp(-np.sum((xs - r[:, None, None]) ** 2, axis=-1) / (4 * d2)
+                            - 4 * d2 * np.sum((qs - q[:, None, None]) ** 2, axis=-1) / hbar**2)
+        weight = w3 * np.exp(np.sum(tt * tt, axis=1))  # the rule's weight, divided out
+        weight = np.outer(weight, weight) / (ax * aq) ** 1.5
+        levels = [lv for N in range(5) for lv in shell_states(N)]
+        batch = p_kl_batch(levels, r, q, p)
+        for k, l in levels:
+            w = wigner_kl_closed(k, l, xs.reshape(-1, 3), qs.reshape(-1, 3), p)
+            got = (2 * l + 1) * np.sum(w.reshape(kernel.shape) * kernel * weight, axis=(1, 2))
+            # 5.6e-16 at worst here; 4 nodes per axis miss by up to 0.2
+            assert np.max(np.abs(got - batch[(k, l)])) <= 1e-15, (k, l)
 
 
 class TestExportGrid:
