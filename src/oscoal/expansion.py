@@ -341,7 +341,7 @@ def _oracle_grid(state):
 
 @lru_cache(maxsize=None)
 def _coeff_matrix(k, l):
-    """Complex coefficient matrix C[m-index, triple-index] for one (k, l)."""
+    """Read-only complex coefficient matrix C[m-index, triple-index] for one (k, l)."""
     triples = degenerate_subspace(2 * k + l)
     mat = np.array(
         [
@@ -350,7 +350,7 @@ def _coeff_matrix(k, l):
         ],
         dtype=complex,
     )
-    return tuple(triples), mat
+    return (tuple(triples),) + _read_only(mat)
 
 
 @lru_cache(maxsize=None)

@@ -47,9 +47,17 @@ def hermite(n, u):
 def assoc_laguerre(n, alpha, u):
     """Associated Laguerre polynomial L_n^(alpha)(u) for half-integer alpha.
 
+    The last entry of `_laguerre_orders`.  At u = 0 the value equals the
+    generalized binomial C(n + alpha, n).
+    """
+    return _laguerre_orders(n, alpha, u)[n]
+
+
+def _laguerre_orders(n, alpha, u):
+    """[L_0^(alpha)(u), ..., L_n^(alpha)(u)] by the three-term recurrence.
+
     alpha must be an exact multiple of 1/2 (alpha >= -1/2); this keeps the
-    recurrence seeds free of decimal-representation drift.  At u = 0 the value
-    equals the generalized binomial C(n + alpha, n).
+    recurrence seeds free of decimal-representation drift.
     """
     if n < 0:
         raise ValueError(f"Laguerre order must be nonnegative, got {n}")
@@ -59,13 +67,10 @@ def assoc_laguerre(n, alpha, u):
     if two_alpha < -1:
         raise ValueError(f"alpha must be >= -1/2, got {alpha}")
     a = round(two_alpha) / 2.0
-    l_prev = u * 0 + 1.0
-    if n == 0:
-        return l_prev
-    l = 1.0 + a - u
+    out = [u * 0 + 1.0, 1.0 + a - u][: n + 1]
     for j in range(2, n + 1):
-        l, l_prev = ((2.0 * j - 1.0 + a - u) * l - (j - 1.0 + a) * l_prev) / j, l
-    return l
+        out.append(((2.0 * j - 1.0 + a - u) * out[j - 1] - (j - 1.0 + a) * out[j - 2]) / j)
+    return out
 
 
 def _assoc_legendre_cs(l, m, x, sin_theta):

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .expansion import Ame, _coeff_matrix, _psi_cartesian, bilinear_assemble, bi
 from .expansion import psi_klm
 from .expansion import d_coeff_reduced  # unused here; perfbench/spans.py wraps this name
 from .ho1d import Phase1D, wigner_1d
-from .specfun import _gh_grid, spherical_harmonic
+from .specfun import _gh_grid, _laguerre_orders, spherical_harmonic
 
 __all__ = [
     "PhasePoint3D",
@@ -131,7 +132,8 @@ def _circular_weights(k, l):
     """The weights of W_kl = (-1)^N W_00/(2l+1) sum_ab w_ab L_a(u+) L_b(u-), exact and float.
 
     Returns (w, rows): w is {(a, b): Fraction} of the nonzero w_ab, and rows
-    is ((a, ((b, f), ...)), ...) with f = (-1)^N w_ab/(2l+1) as a float.
+    is ((a, ((b, f), ...)), ...) with f = (-1)^N w_ab/(2l+1) as a float;
+    both are read-only, as the result is cached.
     For m >= 0, |k l m> has on |a, b, c> = |m + s, s, N - m - 2s> the amplitude
     sqrt(a! b! c!) sum_j C(k, s-j) 2^(s-j) (-1)^j / (2^j (m+j)! j! (l-m-2j)!)
     up to a norm, here times 2^l l!; m < 0 mirrors (a, b) -> (b, a).
@@ -150,14 +152,14 @@ def _circular_weights(k, l):
         for (a, b), pop in pops.items():
             for key in {(a, b), (b, a)}:
                 w[key] += Fraction(pop, total)
-    w = {key: c for key, c in sorted(w.items()) if c}
+    w = MappingProxyType({key: c for key, c in sorted(w.items()) if c})
     return w, tuple((a, tuple((b, float((-1) ** N * w[a, b] / (2 * l + 1))) for _, b in keys))
                     for a, keys in groupby(w, key=lambda ab: ab[0]))
 
 
 @lru_cache(maxsize=None)
 def _derive_et(k, l):
-    """W_kl / W_00 exactly, as {(i, j): Fraction} for E^i T^j.
+    """W_kl / W_00 exactly, as a read-only {(i, j): Fraction} for E^i T^j.
 
     The circular sum with L_n(u) = sum_p (-1)^p C(n, p) u^p/p! and
     u+- = E +- x, x = 2 sqrt(T): the odd powers of x cancel, as w_ab is
@@ -180,7 +182,7 @@ def _derive_et(k, l):
                     out[p + q - s - r, (s + r) // 2] += (
                         (-1) ** r * mono * math.comb(p, s) * math.comb(q, r) << (s + r))
     den *= (-1) ** N * (2 * l + 1) * fact * fact
-    return {key: Fraction(c, den) for key, c in out.items() if c}
+    return MappingProxyType({key: Fraction(c, den) for key, c in out.items() if c})
 
 
 def _to_abc(poly):
@@ -202,9 +204,9 @@ def derive_invariant_poly(k, l):
     """Exact P with W_kl = W_00 * P(a, b, c), as {(i, j, h): Fraction} for a^i b^j c^h.
 
     `_derive_et` expanded for the printed-tabulation audit; the order of the
-    keys is not part of the contract.
+    keys is not part of the contract.  Read-only, as the result is cached.
     """
-    return _to_abc(_derive_et(k, l))
+    return MappingProxyType(_to_abc(_derive_et(k, l)))
 
 
 def _shell_trace_residue(N):
@@ -292,14 +294,6 @@ REFERENCE_TABULATION_NOTES = (
 CLOSED_FORM_STATES = tuple(REFERENCE_TABULATION)
 
 
-def _laguerre_values(n, u):
-    """[L_0(u), ..., L_n(u)] by the three-term recurrence."""
-    out = [np.ones_like(u), 1.0 - u][: n + 1]
-    for m in range(1, n):
-        out.append(((2 * m + 1 - u) * out[m] - m * out[m - 1]) / (m + 1))
-    return out
-
-
 def _wigner_circular(k, l, a, b, t, c, hbar):
     """W_kl at the invariants a = |xi|^2, b = |eta|^2, t = |xi x eta|^2, c = (xi.eta)^2.
 
@@ -312,7 +306,7 @@ def _wigner_circular(k, l, a, b, t, c, hbar):
     rows = _circular_weights(k, l)[1]
     up = a + b + 2.0 * np.sqrt(t)
     um = np.divide((a - b) ** 2 + 4.0 * c, up, out=np.zeros(np.shape(up)), where=up != 0.0)
-    lp, lm = _laguerre_values(2 * k + l, up), _laguerre_values(2 * k + l, um)
+    lp, lm = _laguerre_orders(2 * k + l, 0, up), _laguerre_orders(2 * k + l, 0, um)
     poly = sum(lp[i] * sum(f * lm[j] for j, f in row) for i, row in rows)
     w00 = np.exp(-(a + b)) / (math.pi**3 * hbar**3)
     return np.where(w00 == 0.0, 0.0, w00 * poly)

