@@ -46,6 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coalescence import p_kl_batch
+from .specfun import erf
 
 __all__ = [
     "ParticleRecord",
@@ -522,14 +523,12 @@ def _deposit(sums, masses, centers, edges, params, work):
         for key, m in masses.items():
             np.add.at(sums.setdefault(key, np.zeros(nbins)), idx[ok], m[ok])
         return
-    # imported here, so that runs without smearing never load scipy
-    from scipy.special import erf
-
     scratch, share = work
     for lo in range(0, len(centers), len(share)):
         hi = min(lo + len(share), len(centers))
         n = hi - lo
-        # per-axis marginal of J integrates to erf differences across edges
+        # per-axis marginal of J integrates to erf differences across edges;
+        # `specfun.erf` is nondecreasing, so no share is negative
         z = np.subtract(edges[None, :], centers[lo:hi, None],
                         out=scratch[: n * (nbins + 1)].reshape(n, nbins + 1))
         z *= params.delta / params.hbar

@@ -822,8 +822,8 @@ class TestParamHandling:
 
 
 class TestColdStart:
-    def test_runs_without_smearing_never_import_scipy(self, tmp_path):
-        """Only the smeared spectrum deposit needs scipy; the selftest does not.
+    def test_no_run_imports_scipy(self, tmp_path):
+        """numpy is the only runtime dependency; smeared spectra use `specfun.erf`.
 
         A fresh interpreter is needed: this test session has imported scipy.
         """
@@ -846,9 +846,11 @@ class TestColdStart:
                           "--out", "wigner.dat"]),
                 cli.main(["yields", "--particles", "parts.csv", "--params", "params.json",
                           "--pf-bins=-2:2:8", "--out", "yields.json"]),
+                cli.main(["yields", "--particles", "parts.csv", "--params", "params.json",
+                          "--pf-bins=-2:2:8", "--smear", "--out", "smeared.json"]),
                 cli.main(["selftest"]),
             ]
-            assert codes == [0, 0, 0, 0, 0], codes
+            assert codes == [0, 0, 0, 0, 0, 0], codes
             assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
             """
         )
@@ -856,7 +858,8 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads((tmp_path / "yields.json").read_text())["spectra"]
+        for name in ("yields.json", "smeared.json"):
+            assert json.loads((tmp_path / name).read_text())["spectra"]
 
 
 def _load_perfbench(name):

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import erf
-
 from oscoal import yields
 from oscoal.coalescence import PhasePoint, p_kl_batch, p_kl_closed, v_and_t
+from oscoal.specfun import erf
 from oscoal.yields import (
     Channel,
     MCConfig,
@@ -721,6 +720,35 @@ class TestSpectrum:
             expected = counts / widths
         _, dens = spectrum(edges, pairs, chan, params, smear=smear, axis=1)
         assert np.array_equal(dens, expected)
+
+    def test_smeared_against_libm_erf(self, params, rng):
+        # An independent erf: libm's `math.erf`, element by element.  Both it and
+        # `specfun.erf` are within 1 ulp <= 2^-52 of the exact value (libm's is
+        # documented, ours is pinned in test_specfun), so each CDF (1 + erf) / 2
+        # is within 2^-52 and each share within 2.25 * 2^-52 of the exact
+        # Gaussian share, on either side.  The products with the masses, the
+        # in-order sum over n pairs and the division by the width add at most
+        # (n + 1) 2^-53 of the summed masses per side: the per-bin bound below.
+        us, ds = random_ensembles(rng, 6, 7)
+        pairs = [(a, b) for a in us for b in ds]
+        chan = channel_table()[2]
+        level = (chan.k, chan.l)
+        # z = (edge - center) delta / hbar runs over every range of `specfun.erf` and past 6
+        edges = np.linspace(-14.0, 14.0, 57)
+        rel_r = np.array([[a - b for a, b in zip(p1.r, p2.r)] for p1, p2 in pairs])
+        rel_p = np.array([[0.5 * (a - b) for a, b in zip(p1.p, p2.p)] for p1, p2 in pairs])
+        w = np.array([p1.weight * p2.weight for p1, p2 in pairs])
+        masses = w * float(chan.stat_weight) * p_kl_batch([level], rel_r, rel_p, params)[level]
+        centers = np.array([p1.p[0] + p2.p[0] for p1, p2 in pairs])
+        scale = params.delta / params.hbar
+        cdf = np.array([[0.5 * (1.0 + math.erf((e - c) * scale)) for e in edges] for c in centers])
+        widths = np.diff(edges)
+        expected = (masses[:, None] * np.diff(cdf, axis=1)).sum(axis=0) / widths
+        _, dens = spectrum(edges, pairs, chan, params, axis=0)
+        n = len(pairs)
+        bound = (2 * 2.25 + (n + 1)) * 2.0**-52 * masses.sum() / widths
+        assert np.all(np.abs(dens - expected) <= bound)
+        assert not np.array_equal(dens, expected)  # the two erfs differ somewhere
 
     def test_row_blocks_match_one_pass_bitwise(self, params, rng):
         # 1000 bins: the deposit takes the 2000 pairs in blocks of 1047 rows
