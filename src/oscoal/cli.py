@@ -333,15 +333,11 @@ _SIDECAR_KEYS = ("nu", "delta", "hbar", "zeta_override")
 
 
 def _species_tables(path):
-    """The tables of the two species in the particle list at `path`, in tag order.
-
-    The whole table is freed on return, before the pairs run.
-    """
-    particles = load_particles(path)
-    tags = np.unique(particles.species).tolist()
-    if len(tags) != 2:
-        raise _UsageError(f"need exactly two species, found {tags}")
-    return particles.select(tags[0]), particles.select(tags[1])
+    """The loader's tables of the two species in the particle list at `path`, in tag order."""
+    tables = load_particles(path)
+    if len(tables) != 2:
+        raise _UsageError(f"need exactly two species, found {list(tables)}")
+    return tuple(tables.values())
 
 
 def cmd_yields(args):

@@ -15,7 +15,10 @@ CRLF line ends included.  From the first block that numpy cannot read as
 `float` would, or with a long line or a row that fails a check, `csv.reader`
 reads the rest, one row at a time, so quoted fields and blank rows keep the
 csv module's meaning and errors name the same line as when the whole file
-goes through `csv`.
+goes through `csv`.  Either way a block gives a species code per row and its
+numbers, each species keeps its rows of every block, and those are copied
+once into that species' `ParticleTable`: no table of the whole file and no
+tag per row is ever held.
 
 The pair loop enumerates the full cross product while it fits the budget and
 falls back to uniform random pair sampling beyond that; fixed seeds give
@@ -88,13 +91,13 @@ class ParticleRecord:
 
 @dataclass(frozen=True, eq=False)
 class ParticleTable:
-    """Particles column by column, in file order.
+    """The particles of one species, column by column, in file order.
 
-    `species` holds the (n,) tags, `r` and `p` are (n, 3) and `weight` is
-    (n,).  Indexing returns one row as a `ParticleRecord`.
+    `tag` is the species tag, `r` and `p` are (n, 3) and `weight` is (n,).
+    Indexing returns one row as a `ParticleRecord`.
     """
 
-    species: np.ndarray
+    tag: str
     r: np.ndarray
     p: np.ndarray
     weight: np.ndarray
@@ -103,13 +106,8 @@ class ParticleTable:
         return len(self.weight)
 
     def __getitem__(self, i):
-        return ParticleRecord(str(self.species[i]), self.r[i].tolist(), self.p[i].tolist(),
+        return ParticleRecord(self.tag, self.r[i].tolist(), self.p[i].tolist(),
                               float(self.weight[i]))
-
-    def select(self, tag):
-        """The rows of species `tag`, in file order."""
-        keep = self.species == tag
-        return ParticleTable(self.species[keep], self.r[keep], self.p[keep], self.weight[keep])
 
 
 @dataclass(frozen=True)
@@ -185,13 +183,15 @@ class YieldReport:
 
 
 def load_particles(source):
-    """Parse a particle CSV into a `ParticleTable`, validating every row.
+    """Parse a particle CSV into one `ParticleTable` per species, validating every row.
 
     `source` is a path or an open text stream.  Header must be
     species,rx,ry,rz,px,py,pz with an optional trailing weight column, and
     every nonblank row must have the header's number of fields.  Malformed
     or non-finite rows raise ValueError naming the line; species outside
-    `KNOWN_SPECIES` raise listing the known tags.
+    `KNOWN_SPECIES` raise listing the known tags.  Returns {tag: table} for
+    the tags present, keys in sorted order; each table keeps its rows in
+    file order.
     """
     if hasattr(source, "read"):
         return _parse_particles(source)
@@ -200,6 +200,9 @@ def load_particles(source):
 
 
 _HEADER = ["species", "rx", "ry", "rz", "px", "py", "pz"]
+
+# Species code of each known tag: its index in `KNOWN_SPECIES`.
+_CODES = {tag: code for code, tag in enumerate(KNOWN_SPECIES)}
 
 # Lines converted at a time: bounds the text held in memory.
 _BLOCK = 16384
@@ -210,9 +213,9 @@ _BLOCK = 16384
 _CHUNK = 4096
 
 # Most cells (rows x edges) of one block of a smeared deposit: bounds each
-# array of its workspace near 8 MB.  A leaf of `_CHUNK` pairs at up to 255
-# bins is one block.
-_DEPOSIT_CELLS = 1 << 20
+# array of its workspace near 1 MB.  A leaf of `_CHUNK` pairs at up to 31
+# bins is one block.  On 160 bins, 2**16 to 2**20 cells ran equally fast.
+_DEPOSIT_CELLS = 1 << 17
 
 # numpy adds a contiguous float64 array by pairwise summation: a range of more
 # than this many elements splits at half its length, rounded down to a
@@ -230,23 +233,43 @@ def _parse_particles(fh):
             f"unexpected header {header}; expected species,rx,ry,rz,px,py,pz[,weight]"
         )
     width = len(header)
-    parts = []
+    parts = [[] for _ in KNOWN_SPECIES]  # each species' rows, block by block
+    for codes, nums in _blocks(fh, width):
+        for code, kept in enumerate(parts):
+            rows = nums[codes == code]
+            if len(rows):
+                kept.append(rows)
+    tables = {}
+    for tag in sorted(KNOWN_SPECIES):
+        kept = parts[_CODES[tag]]
+        if kept:
+            nums = np.concatenate(kept)
+            kept.clear()  # so that the next species is copied without this one's parts
+            weight = nums[:, 6] if width == 8 else np.ones(len(nums))
+            tables[tag] = ParticleTable(tag, nums[:, 0:3], nums[:, 3:6], weight)
+    return tables
+
+
+def _blocks(fh, width):
+    """The (species codes, numbers) of each block of the rows after the header.
+
+    A code indexes `KNOWN_SPECIES`, and the numbers are (rows, width - 1).
+    Plain blocks go through `_split_block`; from the first other one `csv`
+    reads the rest (`_csv_blocks`).
+    """
     lineno = 2
     while lines := list(itertools.islice(fh, _BLOCK)):
-        table = _split_block(lines, width)
-        if table is None:
-            parts += _csv_blocks(itertools.chain(lines, fh), width, lineno)
-            break
-        parts.append(table)
+        block = _split_block(lines, width)
+        if block is None:
+            yield from _csv_blocks(itertools.chain(lines, fh), width, lineno)
+            return
         lineno += len(lines)
-    if not parts:
-        parts.append(_table([], np.empty((0, width - 1)), width))
-    return ParticleTable(*(np.concatenate([getattr(t, f) for t in parts])
-                           for f in ("species", "r", "p", "weight")))
+        del lines  # not held while the next block is read: 1.7 MB of peak RSS at 200k rows
+        yield block
 
 
 def _split_block(lines, width):
-    """The table of a block of plain lines, or None unless every line is a good row.
+    """The codes and numbers of a block of plain lines, or None unless every line is a good row.
 
     numpy's C reader converts the numbers.  It fails where `float` does, and on
     a quote, NUL, lone CR, `1_0` or non-ASCII digit; it strips U+001C-U+001F as
@@ -258,25 +281,27 @@ def _split_block(lines, width):
             or text.count(",") != len(lines) * (width - 1)
             or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
         return None
-    tags = [line.partition(",")[0].strip() for line in lines]
-    if not set(tags) <= set(KNOWN_SPECIES):
+    codes = [_CODES.get(line.partition(",")[0].strip()) for line in lines]
+    if None in codes:
         return None
     try:
         nums = np.loadtxt(lines, delimiter=",", usecols=range(1, width), comments=None, ndmin=2)
     except ValueError:
         return None
-    return _table(tags, nums, width)
+    if not np.isfinite(nums).all() or (width == 8 and np.any(nums[:, 6] < 0)):
+        return None
+    return np.array(codes, dtype=np.uint8), nums
 
 
 def _csv_blocks(lines, width, lineno):
-    """The tables of the nonblank `csv` rows of `lines`, `_BLOCK` rows each.
+    """The codes and numbers of the nonblank `csv` rows of `lines`, `_BLOCK` rows each.
 
     Row 1 is line `lineno`.  Rows are read, checked and converted one at a
     time in file order, so the first row that `csv` cannot read or that fails
     a check raises ValueError naming its line.
     """
     reader = csv.reader(lines)
-    tags, nums = [], []
+    codes, nums = [], []
     for lineno in itertools.count(lineno):
         try:
             row = next(reader, None)
@@ -284,11 +309,12 @@ def _csv_blocks(lines, width, lineno):
             raise ValueError(f"line {lineno}: {exc}") from None
         if row is not None and "".join(row).strip():
             tag, values = _checked_row(row, width, lineno)
-            tags.append(tag)
+            codes.append(_CODES[tag])
             nums += values
-        if tags and (row is None or len(tags) == _BLOCK):
-            yield _table(tags, np.array(nums).reshape(len(tags), width - 1), width)
-            tags, nums = [], []
+        if codes and (row is None or len(codes) == _BLOCK):
+            yield (np.array(codes, dtype=np.uint8),
+                   np.array(nums).reshape(len(codes), width - 1))
+            codes, nums = [], []
         if row is None:
             return
 
@@ -315,14 +341,6 @@ def _checked_row(row, width, lineno):
     return species, values
 
 
-def _table(tags, nums, width):
-    """The table of known `tags` and their (rows, width - 1) numbers, or None if a check fails."""
-    weight = nums[:, 6] if width == 8 else np.ones(len(nums))
-    if not np.isfinite(nums).all() or np.any(weight < 0):
-        return None
-    return ParticleTable(np.array(tags, dtype=str), nums[:, 0:3], nums[:, 3:6], weight)
-
-
 def channel_table():
     """The eight u-dbar meson channels with their statistical weights.
 
@@ -346,7 +364,7 @@ def channel_table():
 def _species_arrays(particles):
     """Tags, r, p and weights of a `ParticleTable` or a list of `ParticleRecord`s."""
     if isinstance(particles, ParticleTable):
-        return set(particles.species.tolist()), particles.r, particles.p, particles.weight
+        return {particles.tag}, particles.r, particles.p, particles.weight
     r = np.array([rec.r for rec in particles], dtype=float)
     p = np.array([rec.p for rec in particles], dtype=float)
     w = np.array([rec.weight for rec in particles], dtype=float)

@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import importlib.util
 import itertools
@@ -9,13 +10,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oscoal import cli
+from oscoal import cli, yields
 from oscoal.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main,
                         parse_grid_spec)
 from oscoal.gridio import read_prob_table, read_wigner_grid, write_table
@@ -391,20 +391,23 @@ class TestYieldsCommand:
         assert y["rho+"] == 3 * y["pi+"]
         assert rep["mc"]["mode"] == "exact" and rep["mc"]["pairs"] == 2
 
-    def test_full_table_freed_before_the_pairs_run(self, tmp_path, monkeypatch):
+    def test_pairs_run_on_the_loaders_own_tables(self, tmp_path, monkeypatch):
         parts = tmp_path / "parts.csv"
-        parts.write_text("species,rx,ry,rz,px,py,pz\nu,0,0,0,0,0,0\ndbar,0,0.5,0,0.1,0,0\n")
+        parts.write_text("species,rx,ry,rz,px,py,pz\n"
+                         "u,0,0,0,0,0,0\ndbar,1,0.5,0,0.1,0,0\nu,2,0,0,0,0,0\n")
         pjson = tmp_path / "params.json"
         pjson.write_text('{"nu": 1.0, "delta": 0.5}')
-        load, pairs, tables = cli.load_particles, cli.pair_yields, []
+        load, pairs, loaded, received = cli.load_particles, cli.pair_yields, [], []
 
         def tracked_load(path):
-            table = load(path)
-            tables.append(weakref.ref(table))
-            return table
+            tables = load(path)
+            loaded.append(list(tables.values()))
+            return tables
 
         def checked_pairs(*args):
-            assert len(tables) == 1 and tables[0]() is None, "the full table is still alive"
+            # every table alive is one the pairs run on: no table of the whole file
+            alive = [obj for obj in gc.get_objects() if isinstance(obj, yields.ParticleTable)]
+            received.append((args[:2], alive))
             return pairs(*args)
 
         monkeypatch.setattr(cli, "load_particles", tracked_load)
@@ -412,6 +415,13 @@ class TestYieldsCommand:
         out = tmp_path / "rep.json"
         assert run(["yields", "--particles", str(parts), "--params", str(pjson),
                     "--out", str(out)]) == EXIT_OK
+        [tables] = loaded
+        [(args, alive)] = received
+        assert len(args) == 2 and all(a is b for a, b in zip(args, tables))
+        assert sorted(map(id, alive)) == sorted(map(id, tables))
+        dbar, u = args
+        assert (dbar.tag, u.tag) == ("dbar", "u")
+        assert u.r[:, 0].tolist() == [0.0, 2.0] and dbar.r[:, 0].tolist() == [1.0]
 
     def test_zeta_override(self, tmp_path):
         parts = tmp_path / "parts.csv"
