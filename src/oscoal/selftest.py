@@ -438,6 +438,17 @@ def _check_coalescence_closed():
                        ok, max(md_closed, md_poisson, endpoint), 1e-10)
 
 
+def _p_klm_factorized(k, l, m, rel, params):
+    """P_klm by the paper's factorized route: |A_m|^2 with the signed sum
+    A_m = sum_t C_{klm, t} g_t1 g_t2 g_t3 over the product triples of the
+    shell, an independent reference for the closed form of `p_klm`."""
+    Ame(k, l, m)  # raises ValueError for a negative k or l, or |m| > l
+    triples, cmat = expansion._coeff_matrix(k, l)
+    g = ho1d.quasi_amplitudes(rel.r_vec, rel.p_vec, params, 2 * k + l)
+    a = sum(c * (g[t.n1, 0] * g[t.n2, 1] * g[t.n3, 2]) for c, t in zip(cmat[m + l], triples))
+    return float(a.real**2 + a.imag**2)
+
+
 def _check_coalescence_oracle():
     rng = np.random.default_rng(41)
     md = 0.0
@@ -448,17 +459,21 @@ def _check_coalescence_oracle():
             for k, l in ((0, 0), (0, 1), (0, 2), (1, 0)):
                 md = max(md, abs(coalescence.p_kl(k, l, rel, params)
                                  - coalescence.p_kl_oracle(k, l, rel, params)))
-    # the factorized m-resolved split against the closed-form m-sum
+    # the paper's factorized m-resolved split against the closed-form P_klm
+    # for each m, and its m-sum against P_kl
     md_m = 0.0
     for z in (0.5, 2.0):
         params = OscParams.from_zeta(1.0, z)
         rel = PhasePoint(tuple(rng.uniform(-1.2, 1.2, 3)), tuple(rng.uniform(-1.2, 1.2, 3)))
         for N in range(7):
             for k, l in coalescence.shell_states(N):
-                parts = sum(coalescence.p_klm(k, l, m, rel, params) for m in range(-l, l + 1))
-                md_m = max(md_m, abs(parts - coalescence.p_kl(k, l, rel, params)))
-    return CheckResult("coalescence vs quadrature (zeta 1/2, 1, 2); sum_m P_klm = P_kl (N <= 6)",
-                       md <= 1e-7 and md_m <= 1e-14, max(md, md_m), 1e-7)
+                parts = [_p_klm_factorized(k, l, m, rel, params) for m in range(-l, l + 1)]
+                for m, part in zip(range(-l, l + 1), parts):
+                    md_m = max(md_m, abs(part - coalescence.p_klm(k, l, m, rel, params)))
+                md_m = max(md_m, abs(sum(parts) - coalescence.p_kl(k, l, rel, params)))
+    return CheckResult(
+        "coalescence vs quadrature (zeta 1/2, 1, 2); factorized vs closed P_klm (N <= 6)",
+        md <= 1e-7 and md_m <= 1e-14, max(md, md_m), 1e-7)
 
 
 def _check_yields():

@@ -12,6 +12,7 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +33,18 @@ def run(args):
 
 def _must_not_compute(*args, **kwargs):
     raise RuntimeError("usage errors must be raised before any compute")
+
+
+def _p_nn_mpmath(n, r, p, params):
+    """1-D P_nn from the beta^n coefficient of exp(b beta + c beta^2), in mpmath."""
+    mpf = mpmath.mpf
+    z, nu, hbar = mpf(params.zeta), mpf(params.nu), mpf(params.hbar)
+    s, rho, pit = 1 + z * z, mpf(r) * nu, mpf(p) / (nu * hbar)
+    b, c = mpmath.sqrt(2) * mpmath.mpc(rho, z * z * pit) / s, (z * z - 1) / (2 * s)
+    h = sum(b ** (n - 2 * j) * c**j / (math.factorial(n - 2 * j) * math.factorial(j))
+            for j in range(n // 2 + 1))
+    g0_squared = 2 * z / s * mpmath.exp(-(rho**2 + z * z * pit**2) / s)
+    return g0_squared * math.factorial(n) * abs(h) ** 2
 
 
 def _traced_peak(argv):
@@ -551,8 +564,8 @@ class TestFiguresCommand:
         assert run(["figures", "2", "--outdir", str(tmp_path), "--resolution", "51"]) == EXIT_OK
         capsys.readouterr()
         for n in (0, 1, 2):
-            h4 = json.loads(open(tmp_path / f"fig2_p{n}{n}_zeta4.dat").readline())
-            hq = json.loads(open(tmp_path / f"fig2_p{n}{n}_zeta0.25.dat").readline())
+            h4 = json.loads((tmp_path / f"fig2_p{n}{n}_zeta4.dat").read_text().splitlines()[0])
+            hq = json.loads((tmp_path / f"fig2_p{n}{n}_zeta0.25.dat").read_text().splitlines()[0])
             c4 = np.array([[float(x), float(y)] for x, y in h4["contour_0p2"]])
             cq = np.array([[float(x), float(y)] for x, y in hq["contour_0p2"]])
             assert len(c4) == len(cq)
@@ -560,6 +573,29 @@ class TestFiguresCommand:
                 a = set(map(tuple, np.round(c4, 9)))
                 b = set(map(tuple, np.round(cq[:, ::-1], 9)))
                 assert a == b
+
+    def test_figure2_against_50_digit_amplitudes(self, tmp_path, capsys):
+        # P_nn = (2z/s) e^const n! |h_n|^2 with h_n the beta^n coefficient of
+        # exp(b beta + c beta^2) (`ho1d.quasi_amplitudes`), summed term by term
+        # in 50 digits at the grid floats read back, for every file written.
+        # Worst seen on 9, 23 and 31 point grids (nu, hbar up to 1.7): 3.9e-16
+        # absolute, 8.1e-15 relative
+        argv = ["figures", "2", "--outdir", str(tmp_path), "--resolution", "9",
+                "--nu", "1.3", "--hbar", "0.9"]
+        assert run(argv) == EXIT_OK
+        capsys.readouterr()
+        for n in (0, 1, 2):
+            for zeta in ("0.25", "1", "4"):
+                lines = (tmp_path / f"fig2_p{n}{n}_zeta{zeta}.dat").read_text().splitlines()
+                header = json.loads(lines[0])
+                params = OscParams(**header["params"])
+                assert lines[1] == "r,p,P" and len(lines) == 2 + 81
+                for line in lines[2:]:
+                    r, p, got = map(float, line.split(","))
+                    with mpmath.workdps(50):
+                        exact = float(_p_nn_mpmath(n, r, p, params))
+                    gap = abs(got - exact)
+                    assert gap <= 5e-16 and gap <= 2e-14 * exact, (n, zeta, r, p)
 
     @pytest.mark.parametrize("resolution", ["0", "1", "-3"])
     def test_bad_resolution_before_outdir(self, resolution, tmp_path, monkeypatch):

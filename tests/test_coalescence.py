@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import gammaincc
 
 from conftest import random_rotation
-from oscoal import coalescence
+from oscoal import coalescence, expansion, ho1d
 from oscoal.coalescence import (
     PhasePoint,
     WavePacket,
@@ -23,8 +24,9 @@ from oscoal.coalescence import (
     shell_states,
     v_and_t,
 )
-from oscoal.expansion import bilinear_assemble, bilinear_table
+from oscoal.expansion import Ame, bilinear_assemble, bilinear_table, coeff, degenerate_subspace
 from oscoal.ho1d import OscParams, quasi_amplitudes, quasi_prob_table
+from oscoal.selftest import _p_klm_factorized
 from oscoal.specfun import double_factorial
 
 LEVELS_N3 = ((0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (1, 1))
@@ -147,6 +149,34 @@ def _p_kl_mpmath(k, l, r, p, params):
     return float(g6 * norm * abs(f) ** 2 * q[l])
 
 
+@lru_cache(maxsize=None)
+def _coeff_terms_mpmath(k, l, m):
+    """(C_{klm, t}, t) for the nonzero exact coefficients, each converted to
+    a 50-digit mpc from its sign, radicand, i^n2 and s with no float step."""
+    with mpmath.workdps(50):
+        terms = []
+        for t in degenerate_subspace(2 * k + l):
+            c = coeff(Ame(k, l, m), t)
+            if not c.is_zero:
+                root = mpmath.sqrt(mpmath.mpf(c.radicand.numerator) / c.radicand.denominator)
+                phase = (1, mpmath.j, -1, -mpmath.j)[c.n2 % 4]
+                terms.append((c.sign * root * c.s.numerator / c.s.denominator * phase, tuple(t)))
+        return tuple(terms)
+
+
+def _amplitudes_mpmath(x, q, params, nmax):
+    """g_n, n <= nmax, by the recurrence of `ho1d.quasi_amplitudes` in mpmath."""
+    mpf = mpmath.mpf
+    z, nu, hbar = mpf(params.zeta), mpf(params.nu), mpf(params.hbar)
+    s, rho, pit = 1 + z * z, mpf(x) * nu, mpf(q) / (nu * hbar)
+    b, c2 = mpmath.sqrt(2) * mpmath.mpc(rho, z * z * pit) / s, (z * z - 1) / s
+    g = [mpmath.sqrt(2 * z / s * mpmath.exp(-(rho**2 + z * z * pit**2) / s))]
+    g.append(b * g[0])
+    for n in range(1, nmax):
+        g.append((b * g[n] + c2 * mpmath.sqrt(n) * g[n - 1]) / mpmath.sqrt(n + 1))
+    return g
+
+
 class TestPKl:
     def test_ground_state_is_poisson_weight(self, params, rng):
         for _ in range(5):
@@ -227,9 +257,9 @@ class TestPKl:
         assert total.real == pytest.approx(p_kl(1, 1, rel, params), abs=1e-14)
 
     def test_m_resolved_levels_sum_to_p_kl(self, rng):
-        # the factorized m-resolved split against the closed-form m-sum, every
-        # level the CLI accepts; over 240 points the gap stayed below 2.8e-16
-        # absolute and 8.3e-13 relative to max(P, 1e-6)
+        # the m-terms |Y~_{l,-m}|^2 against the Legendre recurrence of L_l,
+        # every level the CLI accepts; over 75 points the gap stayed below
+        # 1.2e-16 absolute and 1.6e-14 relative
         for p, rel_r, rel_p in _accuracy_points(rng):
             batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
             for i in range(len(rel_r)):
@@ -238,7 +268,48 @@ class TestPKl:
                     parts = [p_klm(k, l, m, rel, p) for m in range(-l, l + 1)]
                     assert min(parts) >= 0
                     gap = abs(sum(parts) - batch[(k, l)][i])
-                    assert gap <= 5e-16 and gap <= 2e-12 * max(batch[(k, l)][i], 1e-6), (k, l)
+                    assert gap <= 3e-16 and gap <= 5e-14 * batch[(k, l)][i], (k, l)
+
+    def test_m_resolved_against_50_digit_factorized_sum(self, rng):
+        # the paper's route |sum_t C_{klm, t} g_t1 g_t2 g_t3|^2 in 50-digit
+        # arithmetic on the same float inputs, one point per zeta: it shares
+        # nothing with the closed form of `p_klm`.  Over 75 points the closed
+        # form stayed within 1.2e-16 absolute and 5.8e-14 relative, while the
+        # same sum in floats (`_p_klm_factorized`) kept 2.3e-16 absolute but
+        # lost up to 3.6 relative where P_klm is tiny
+        for p, rel_r, rel_p in _accuracy_points(rng, n=1):
+            r, q = rel_r[0], rel_p[0]
+            rel = PhasePoint(tuple(r), tuple(q))
+            with mpmath.workdps(50):
+                g = [_amplitudes_mpmath(r[i], q[i], p, 12) for i in range(3)]
+                prod = {tuple(t): g[0][t.n1] * g[1][t.n2] * g[2][t.n3]
+                        for N in range(13) for t in degenerate_subspace(N)}
+                for k, l in LEVELS_N12:
+                    for m in range(-l, l + 1):
+                        amp = sum(c * prod[t] for c, t in _coeff_terms_mpmath(k, l, m))
+                        exact = float(abs(amp) ** 2)
+                        gap = abs(p_klm(k, l, m, rel, p) - exact)
+                        assert gap <= 3e-16 and gap <= 2e-13 * exact, (k, l, m)
+                        assert abs(_p_klm_factorized(k, l, m, rel, p) - exact) <= 5e-16, (k, l, m)
+
+    def test_m_resolved_rotation_about_z_and_mirror(self, rng):
+        # a rotation about z turns b_x +- i b_y by a phase and keeps b_z and
+        # B, so |Y~_lm|^2 stays; the mirror y -> -y negates b_y, which maps
+        # m to -m with every bit kept
+        flip = np.array([1.0, -1.0, 1.0])
+        for p, rel_r, rel_p in _accuracy_points(rng, n=2):
+            for r, q in zip(rel_r, rel_p):
+                phi = rng.uniform(0, 2 * math.pi)
+                turn = np.array([[math.cos(phi), -math.sin(phi), 0.0],
+                                 [math.sin(phi), math.cos(phi), 0.0], [0.0, 0.0, 1.0]])
+                rel = PhasePoint(tuple(r), tuple(q))
+                turned = PhasePoint(tuple(turn @ r), tuple(turn @ q))
+                mirrored = PhasePoint(tuple(r * flip), tuple(q * flip))
+                for k, l in LEVELS_N12:
+                    for m in range(-l, l + 1):
+                        got = p_klm(k, l, m, rel, p)
+                        assert p_klm(k, l, m, turned, p) == pytest.approx(got, rel=1e-13)
+                        assert p_klm(k, l, -m, mirrored, p) == got
 
     def test_closed_form_against_50_digit_evaluation(self, rng):
         # the same closed form in 50-digit arithmetic on the same float inputs:
@@ -337,15 +408,24 @@ class TestPKl:
             assert np.max(np.abs(direct[lv] - swapped[lv])) <= 4e-15, lv
 
     def test_batch_builds_no_coefficient_matrix(self, rng, monkeypatch):
-        def refuse(k, l):
-            raise AssertionError(f"coefficient matrix of ({k}, {l}) requested")
+        # P_kl and P_klm both come from the Bargmann closed form: neither builds
+        # a coefficient matrix or the 1-D amplitudes
+        def refuse(*args):
+            raise AssertionError(f"factorized route requested with {args}")
 
-        monkeypatch.setattr(coalescence, "_coeff_matrix", refuse)
+        assert not hasattr(coalescence, "_coeff_matrix")
+        assert not hasattr(coalescence, "quasi_amplitudes")
+        monkeypatch.setattr(expansion, "_coeff_matrix", refuse)
+        monkeypatch.setattr(expansion, "coeff", refuse)
+        monkeypatch.setattr(ho1d, "quasi_amplitudes", refuse)
         p = OscParams.from_zeta(1.0, 2.0)
         rel_r, rel_p = rng.uniform(-1, 1, (2, 5, 3))
         batch = p_kl_batch(LEVELS_N12, rel_r, rel_p, p)
         assert all(np.all(batch[lv] > 0) for lv in LEVELS_N12)
-        assert p_kl(2, 3, PhasePoint(tuple(rel_r[0]), tuple(rel_p[0])), p) == batch[(2, 3)][0]
+        rel = PhasePoint(tuple(rel_r[0]), tuple(rel_p[0]))
+        assert p_kl(2, 3, rel, p) == batch[(2, 3)][0]
+        parts = [p_klm(2, 3, m, rel, p) for m in range(-3, 4)]
+        assert min(parts) > 0 and sum(parts) == pytest.approx(batch[(2, 3)][0], rel=5e-14)
 
     @pytest.mark.parametrize("zeta", [0.25, 0.5, 1.0, 2.0, 3.0])
     def test_matches_exact_rational_evaluation(self, zeta, rng):
